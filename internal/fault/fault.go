@@ -20,6 +20,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,14 +125,18 @@ func (s Schedule) Empty() bool { return len(s.Events) == 0 }
 // Validate checks the schedule against a built topology. Offline
 // events are restricted to CXL nodes: node 0 (and any KindLocal node)
 // anchors CPU placement and the promotion top tier, so hot-removing it
-// is not a scenario the machine models.
+// is not a scenario the machine models. Range checks are written so a
+// NaN fails them, and the latency multiplier must be finite.
 func (s Schedule) Validate(topo *tier.Topology) error {
 	for i, e := range s.Events {
 		switch e.Kind {
 		case NodeOffline, LatencyDegrade, CapacityLoss:
 		case MigFailBegin:
-			if e.Prob <= 0 || e.Prob > 1 {
+			if !(e.Prob > 0 && e.Prob <= 1) {
 				return fmt.Errorf("fault: event %d: migfail prob %g outside (0, 1]", i, e.Prob)
+			}
+			if e.MaxRetries < 0 {
+				return fmt.Errorf("fault: event %d: migfail retries %d is negative", i, e.MaxRetries)
 			}
 			continue // machine-wide: no node checks
 		default:
@@ -149,10 +154,10 @@ func (s Schedule) Validate(topo *tier.Topology) error {
 				return fmt.Errorf("fault: event %d: node %d is not a CXL node; only CXL devices can go offline", i, e.Node)
 			}
 		case LatencyDegrade:
-			if e.Mult <= 1 {
-				return fmt.Errorf("fault: event %d: latency multiplier %g must exceed 1", i, e.Mult)
+			if !(e.Mult > 1) || math.IsInf(e.Mult, 1) {
+				return fmt.Errorf("fault: event %d: latency multiplier %g must be finite and exceed 1", i, e.Mult)
 			}
-			if e.Jitter < 0 || e.Jitter >= 1 {
+			if !(e.Jitter >= 0 && e.Jitter < 1) {
 				return fmt.Errorf("fault: event %d: jitter %g outside [0, 1)", i, e.Jitter)
 			}
 		case CapacityLoss:

@@ -133,6 +133,35 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite pins the spec values every range check
+// used to wave through: NaN fails every comparison, and +Inf is above
+// any lower bound.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 1024, CXLPages: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{
+		"latency:node=1,at=5,until=500,mult=NaN",
+		"latency:node=1,at=5,until=500,mult=+Inf",
+		"latency:node=1,at=5,until=500,mult=Inf",
+		"latency:node=1,at=5,until=500,mult=2,jitter=NaN",
+		"latency:node=1,at=5,until=500,mult=2,jitter=-0.5",
+		"migfail:prob=NaN,at=5",
+		"migfail:prob=+Inf,at=5",
+		"migfail:prob=0.5,at=5,retries=-1",
+	} {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", spec, err)
+			continue
+		}
+		if err := s.Validate(topo); err == nil {
+			t.Errorf("Validate accepted %q", spec)
+		}
+	}
+}
+
 func TestRetrierBackoffAndExhaustion(t *testing.T) {
 	stat := vmstat.NewNodeStats(2)
 	// prob=1: every roll fails, so the whole backoff ladder is exercised

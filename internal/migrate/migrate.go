@@ -247,7 +247,7 @@ func (e *Engine) Migrate(pfn mem.PFN, dest mem.NodeID, reason Reason) (costNs fl
 	} else {
 		e.topo.Node(src).ReleaseN(pg.Type, fp)
 	}
-	pg.Node = dest
+	e.store.Move(pfn, dest)
 	switch reason {
 	case Demotion:
 		pg.Flags = pg.Flags.Set(mem.PGDemoted)

@@ -27,12 +27,22 @@
 // poisoned, so a scan walks a full pass to find the few pages to mark.
 // It reads the page table a run of up to 256 translations at a time
 // (pagetable.AddressSpace.TranslateRun) rather than one Translate per
-// VPN, which roughly halves a full pass on a 512K-page machine; what
-// remains is bound by random reads of the page store. The run walk is
-// pinned against the per-VPN walk by a randomized equivalence test.
+// VPN, and it tests a PFN-indexed candidate bitset before it reads a
+// page: a clear bit promises the page is already poisoned or sits on a
+// node the scan does not sample. Only a page's birth or move onto a
+// sampled node (reported by the store's placement observer) and a hint
+// fault set a bit, and the scan clears the bits of the pages it reads,
+// so a warm pass reads the page store only for pages that changed
+// since the last pass. On a 64K-page table a settled pass costs about
+// a fifth of a pass that reads every page; what remains is the page
+// table read and one bit test per VPN. The walk is pinned against the
+// per-VPN walk by a randomized equivalence test, and the bitset's
+// promise by a per-tick invariant check on whole machines.
 package numab
 
 import (
+	"fmt"
+
 	"tppsim/internal/lru"
 	"tppsim/internal/mem"
 	"tppsim/internal/migrate"
@@ -117,9 +127,20 @@ type Balancer struct {
 	// covers a whole 2 MB frame and the next touch anywhere in it raises
 	// the hint fault.
 	framePages uint64
+
+	// cand is a PFN-indexed bitset of scan candidates. A clear bit, or a
+	// PFN past its end, promises the page is not one: it is already
+	// PGHinted, or it sits on a node the scan does not sample. Bits are
+	// set only where a candidate can appear (the store placing a page on
+	// a sampled node, a hint fault clearing PGHinted) and cleared only by
+	// the scan, so a warm scan skips settled pages without reading the
+	// page store.
+	cand []uint64
 }
 
-// New wires a balancer over the machine.
+// New wires a balancer over the machine. An enabled balancer becomes the
+// store's placement observer, with every PFN the store already holds
+// marked a candidate.
 func New(cfg Config, store *mem.Store, topo *tier.Topology, vecs []*lru.Vec,
 	stat *vmstat.NodeStats, engine *migrate.Engine, as *pagetable.AddressSpace) *Balancer {
 	cxl := make([]bool, topo.NumNodes())
@@ -128,7 +149,55 @@ func New(cfg Config, store *mem.Store, topo *tier.Topology, vecs []*lru.Vec,
 		cxl[i] = topo.Node(mem.NodeID(i)).Kind == mem.KindCXL
 		top[i] = topo.TierOf(mem.NodeID(i)) == 0
 	}
-	return &Balancer{cfg: cfg.withDefaults(), store: store, topo: topo, vecs: vecs, stat: stat, engine: engine, as: as, nodeCXL: cxl, nodeTop: top, framePages: 1}
+	b := &Balancer{cfg: cfg.withDefaults(), store: store, topo: topo, vecs: vecs, stat: stat, engine: engine, as: as, nodeCXL: cxl, nodeTop: top, framePages: 1}
+	if b.cfg.Enabled {
+		b.cand = make([]uint64, (store.Cap()+63)/64)
+		for pfn := 0; pfn < store.Len(); pfn++ {
+			b.cand[pfn/64] |= 1 << (pfn % 64)
+		}
+		store.SetPlacementObserver(b.placed)
+	}
+	return b
+}
+
+// placed is the store's placement observer: a page born on, or moved
+// to, a sampled node may be a scan candidate.
+func (b *Balancer) placed(pfn mem.PFN, node mem.NodeID) {
+	if b.cfg.CXLOnly && !b.nodeCXL[node] {
+		return
+	}
+	w := int(pfn / 64)
+	if w >= len(b.cand) {
+		b.cand = append(b.cand, make([]uint64, w+1-len(b.cand))...)
+	}
+	b.cand[w] |= 1 << (pfn % 64)
+}
+
+// unhint clears pfn's PGHinted, as a hint fault restoring its PTE does,
+// which makes the page a scan candidate again.
+func (b *Balancer) unhint(pfn mem.PFN, pg *mem.Page) {
+	pg.Flags = pg.Flags.Clear(mem.PGHinted)
+	b.placed(pfn, pg.Node)
+}
+
+// CheckCandidates verifies the candidate bitset's promise over every
+// mapped page: a page whose bit is clear must be PGHinted or off every
+// sampled node. A disabled balancer keeps no bitset and always passes.
+func (b *Balancer) CheckCandidates() error {
+	if !b.cfg.Enabled {
+		return nil
+	}
+	var err error
+	b.as.ForEachMapped(func(v pagetable.VPN, pfn mem.PFN) {
+		if w := int(pfn / 64); err != nil || w < len(b.cand) && b.cand[w]&(1<<(pfn%64)) != 0 {
+			return
+		}
+		pg := b.store.Page(pfn)
+		if !pg.Flags.Has(mem.PGHinted) && (!b.cfg.CXLOnly || b.nodeCXL[pg.Node]) {
+			err = fmt.Errorf("numab: VPN %d -> PFN %d on sampled node %d is unhinted but not a scan candidate", v, pfn, pg.Node)
+		}
+	})
+	return err
 }
 
 // Config returns the balancer configuration.
@@ -164,7 +233,10 @@ const scanRun = 256
 // applies the per-page logic to the run in order, checking both bounds
 // before every page and advancing the cursor only past the pages it
 // consumed, so it poisons, charges and leaves the cursor exactly as a
-// Translate-per-VPN walk would.
+// Translate-per-VPN walk would. A page whose candidate bit is clear would
+// fail the per-page checks, so the walk skips it without reading the
+// page store. Every page the walk reads ends up poisoned or is out of
+// scope, so the walk clears its bit.
 func (b *Balancer) scan() float64 {
 	const perPageNs = 150 // PTE walk + unmap cost per sampled page
 	numRegions := b.as.NumRegions()
@@ -186,6 +258,9 @@ func (b *Balancer) scan() float64 {
 	limit := b.cfg.ScanSizePages
 	total := int(b.as.TotalPages())
 	spent := 0.0
+	// Loop-invariant state in locals: the bitset store below would
+	// otherwise force a reload of each field on every page.
+	store, cand, nodeCXL, cxlOnly := b.store, b.cand, b.nodeCXL, b.cfg.CXLOnly
 	var buf [scanRun]mem.PFN
 	for marked < limit && visited < total {
 		n := b.as.TranslateRun(b.cursorRegion, b.cursorOffset, fp, buf[:])
@@ -194,15 +269,21 @@ func (b *Balancer) scan() float64 {
 			b.cursorOffset = 0
 			continue
 		}
+		// The visited bound admits the run's first end pages, so only the
+		// marked bound needs checking per page.
+		end := min(n, (total-visited+int(fp)-1)/int(fp))
 		k := 0
-		for ; k < n && marked < limit && visited < total; k++ {
-			visited += int(fp)
+		for ; k < end && marked < limit; k++ {
+			// A PFN past the bitset was never placed on a sampled node,
+			// and an unmapped slot's NilPFN is past every bitset.
 			pfn := buf[k]
-			if pfn == mem.NilPFN {
+			w, bit := uint(pfn/64), uint64(1)<<(pfn%64)
+			if w >= uint(len(cand)) || cand[w]&bit == 0 {
 				continue
 			}
-			pg := b.store.Page(pfn)
-			if b.cfg.CXLOnly && !b.nodeCXL[pg.Node] {
+			cand[w] &^= bit
+			pg := store.Page(pfn)
+			if cxlOnly && !nodeCXL[pg.Node] {
 				continue
 			}
 			if pg.Flags.Has(mem.PGHinted) {
@@ -213,6 +294,7 @@ func (b *Balancer) scan() float64 {
 			marked += int(fp)
 			spent += perPageNs
 		}
+		visited += k * int(fp)
 		b.cursorOffset += pagetable.VPN(uint64(k) * fp)
 	}
 	return spent
@@ -279,7 +361,7 @@ func (b *Balancer) OnAccess(pfn mem.PFN, pg *mem.Page) AccessOutcome {
 	if !pg.Flags.Has(mem.PGHinted) {
 		return AccessOutcome{}
 	}
-	pg.Flags = pg.Flags.Clear(mem.PGHinted)
+	b.unhint(pfn, pg)
 	out := AccessOutcome{HintFault: true, LatencyNs: b.cfg.HintFaultNs}
 	b.stat.Inc(pg.Node, vmstat.NumaHintFaults)
 

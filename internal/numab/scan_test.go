@@ -80,6 +80,8 @@ type scanRig struct {
 // newScanRig builds a machine of a few regions whose frames are mapped
 // in runs (on either node, some already poisoned), evicted in runs, or
 // left as never-populated holes, with the scan cursor placed mid-region.
+// The balancer is wired either before the store is populated (it then
+// observes every placement) or after (it must adopt the existing PFNs).
 func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) *scanRig {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -89,12 +91,23 @@ func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) 
 	}
 	as := newAS()
 	fp := uint64(1) << as.FrameShift()
-	store := mem.NewStore(0)
+	store := mem.NewStore(rng.Intn(64))
 	stat := vmstat.NewNodeStats(topo.NumNodes())
 	sizes := []int{1, 2, 5, 37, 4096}
 	cfg := Config{Enabled: true, ScanSizePages: sizes[rng.Intn(len(sizes))], CXLOnly: rng.Intn(2) == 0}
-	b := New(cfg, store, topo, nil, stat, nil, as)
-	b.SetFramePages(fp)
+	var b *Balancer
+	wire := func() {
+		b = New(cfg, store, topo, nil, stat, nil, as)
+		b.SetFramePages(fp)
+	}
+	late := rng.Intn(2) == 0
+	if !late {
+		wire()
+	}
+	// Each page lands on CXL with probability cxlShare/4. At share 0 a
+	// CXL-only balancer wired early never grows its bitset, so mapped
+	// PFNs lie past its end until they migrate.
+	cxlShare := rng.Intn(4)
 
 	types := []mem.PageType{mem.Anon, mem.File, mem.Tmpfs}
 	nRegions := 2 + rng.Intn(4)
@@ -124,7 +137,11 @@ func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) 
 			if span > fp {
 				span = fp
 			}
-			pfn := store.Alloc(r.Type, mem.NodeID(rng.Intn(2)))
+			node := mem.NodeID(0)
+			if rng.Intn(4) < cxlShare {
+				node = 1
+			}
+			pfn := store.Alloc(r.Type, node)
 			as.MapRange(r.Start+pagetable.VPN(off), pfn, span)
 			if state == evicted {
 				kind := pagetable.EvictSwap
@@ -141,17 +158,22 @@ func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) 
 			}
 		}
 	}
+	if late {
+		wire()
+	}
 	r := rng.Intn(len(regions))
 	b.cursorRegion = r
 	b.cursorOffset = pagetable.VPN(uint64(rng.Intn(int(regions[r].Pages))) / fp * fp)
 	return &scanRig{store: store, stat: stat, b: b}
 }
 
-// TestScanRunWalkMatchesPerVPN holds the run walk to the per-VPN
-// reference on random machines over every table shape: after each of
-// several consecutive scans (with some hint faults consumed between
-// them) the cursors, the poisoned-page sets, the per-node scan charges
-// and the returned costs must all agree.
+// TestScanRunWalkMatchesPerVPN holds the run walk, candidate bitset
+// included, to the per-VPN reference on random machines over every table
+// shape: after each of several consecutive scans the cursors, the
+// poisoned-page sets, the per-node scan charges and the returned costs
+// must all agree. Between scans some hint faults are consumed through
+// the balancer and some pages migrate to the other node through the
+// store, the two events besides a birth that make a page a candidate.
 func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -187,12 +209,23 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 							t.Fatalf("%s: PFN %d hinted %v, want %v", where, pfn, g, w)
 						}
 					}
-					// Consume some hint faults so the next scan has work.
+					if err := run.b.CheckCandidates(); err != nil {
+						t.Fatalf("%s: %v", where, err)
+					}
+					// Consume some hint faults and migrate some pages so
+					// the next scan has work.
 					for pfn := mem.PFN(0); int(pfn) < ref.store.Len(); pfn++ {
-						if rng.Intn(3) == 0 {
-							for _, st := range []*mem.Store{ref.store, run.store} {
-								pg := st.Page(pfn)
-								pg.Flags = pg.Flags.Clear(mem.PGHinted)
+						node := ref.store.Page(pfn).Node
+						if node == mem.NilNode {
+							continue
+						}
+						hint, move := rng.Intn(3) == 0, rng.Intn(8) == 0
+						for _, rig := range []*scanRig{ref, run} {
+							if pg := rig.store.Page(pfn); hint && pg.Flags.Has(mem.PGHinted) {
+								rig.b.unhint(pfn, pg)
+							}
+							if move {
+								rig.store.Move(pfn, 1-node)
 							}
 						}
 					}
@@ -205,43 +238,57 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 // BenchmarkScan measures one full scan pass in the warm worst case: 64K
 // pages, four fifths on CXL, mapped in shuffled PFN order (as churn
 // leaves them) and all already poisoned, so a CXL-only scan walks the
-// whole address space and marks nothing.
+// whole address space and marks nothing. "settled" is the steady state,
+// every candidate bit clear; "cold" sets every bit before each pass, as
+// after a mass placement change, so the pass reads every page.
 func BenchmarkScan(b *testing.B) {
 	for _, tab := range scanTables[:2] {
-		b.Run(tab.name, func(b *testing.B) {
-			const pages = 1 << 16
-			topo, err := tier.NewCXLSystem(tier.Config{LocalPages: pages / 5, CXLPages: pages})
-			if err != nil {
-				b.Fatal(err)
+		for _, cold := range []bool{false, true} {
+			name := tab.name + "/settled"
+			if cold {
+				name = tab.name + "/cold"
 			}
-			store := mem.NewStore(pages)
-			stat := vmstat.NewNodeStats(topo.NumNodes())
-			as := tab.new()
-			bal := New(Config{Enabled: true, CXLOnly: true}, store, topo, nil, stat, nil, as)
-			pfns := make([]mem.PFN, pages)
-			for i := range pfns {
-				node := mem.NodeID(1)
-				if i < pages/5 {
-					node = 0
+			b.Run(name, func(b *testing.B) {
+				const pages = 1 << 16
+				topo, err := tier.NewCXLSystem(tier.Config{LocalPages: pages / 5, CXLPages: pages})
+				if err != nil {
+					b.Fatal(err)
 				}
-				pfns[i] = store.Alloc(mem.Anon, node)
-				if node == 1 {
-					pg := store.Page(pfns[i])
-					pg.Flags = pg.Flags.Set(mem.PGHinted)
+				store := mem.NewStore(pages)
+				stat := vmstat.NewNodeStats(topo.NumNodes())
+				as := tab.new()
+				bal := New(Config{Enabled: true, CXLOnly: true}, store, topo, nil, stat, nil, as)
+				pfns := make([]mem.PFN, pages)
+				for i := range pfns {
+					node := mem.NodeID(1)
+					if i < pages/5 {
+						node = 0
+					}
+					pfns[i] = store.Alloc(mem.Anon, node)
+					if node == 1 {
+						pg := store.Page(pfns[i])
+						pg.Flags = pg.Flags.Set(mem.PGHinted)
+					}
 				}
-			}
-			rand.New(rand.NewSource(1)).Shuffle(pages, func(i, j int) { pfns[i], pfns[j] = pfns[j], pfns[i] })
-			r := as.Mmap(pages, mem.Anon)
-			for i, pfn := range pfns {
-				as.MapPage(r.Start+pagetable.VPN(i), pfn)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if bal.scan() != 0 {
-					b.Fatal("scan marked a page on a fully poisoned machine")
+				rand.New(rand.NewSource(1)).Shuffle(pages, func(i, j int) { pfns[i], pfns[j] = pfns[j], pfns[i] })
+				r := as.Mmap(pages, mem.Anon)
+				for i, pfn := range pfns {
+					as.MapPage(r.Start+pagetable.VPN(i), pfn)
 				}
-			}
-		})
+				bal.scan() // settle: the first pass clears every bit
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						for w := range bal.cand {
+							bal.cand[w] = ^uint64(0)
+						}
+					}
+					if bal.scan() != 0 {
+						b.Fatal("scan marked a page on a fully poisoned machine")
+					}
+				}
+			})
+		}
 	}
 }

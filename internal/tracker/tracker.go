@@ -35,6 +35,7 @@ package tracker
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,6 +168,13 @@ func (c Config) Validate() error {
 	}
 	if d.RegionBudget < 2 {
 		return fmt.Errorf("tracker: region budget %d too small", d.RegionBudget)
+	}
+	if d.SamplesPerTick < 1 {
+		return fmt.Errorf("tracker: samples per tick %d is not positive", d.SamplesPerTick)
+	}
+	// Written so a NaN half-life fails too.
+	if !(d.HalflifeTicks > 0) || math.IsInf(d.HalflifeTicks, 1) {
+		return fmt.Errorf("tracker: half-life %g must be finite and positive", d.HalflifeTicks)
 	}
 	return nil
 }

@@ -215,6 +215,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"idlepage:bogus=1",         // unknown key
 		"idlepage:scan",            // malformed pair
 		"idlepage:scan=notanumber", // bad value
+		"idlepage:halflife=NaN",    // NaN heat
+		"idlepage:halflife=-5",     // negative heat
+		"idlepage:halflife=+Inf",   // heat never decays
+		"idlepage:halflife=Inf",
+		"damon:samples=-4", // no samples drawn
 	} {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", spec)
