@@ -10,9 +10,10 @@
 //	go run ./cmd/bench -o out.json
 //
 // The artifact records the runner's CPU count and the *resolved* worker
-// count each field ran with (the parallel field resolves WorkersAuto to
-// GOMAXPROCS, so on a 1-CPU runner it reads 1: the run was effectively
-// serial and its ns/op says nothing about sharding).
+// count each field ran with. The parallel field resolves WorkersAuto to
+// GOMAXPROCS, so under 4 usable CPUs the run is (nearly) serial and its
+// ns/op says nothing about sharding: parallel_ns_per_op is then written
+// as null, not applicable.
 //
 // With -check it instead compares fresh measurements against the
 // committed baseline and exits non-zero when:
@@ -280,6 +281,12 @@ func main() {
 		return
 	}
 
+	// Under 4 usable CPUs the parallel run has nothing to shard onto, so
+	// its ns/op is recorded as not applicable.
+	var parallelNs any = nsParallel
+	if runtime.GOMAXPROCS(0) < 4 {
+		parallelNs = nil
+	}
 	report := map[string]any{
 		"benchmark":             "SimTick",
 		"iterations":            res.N,
@@ -294,7 +301,7 @@ func main() {
 		"tracked_allocs_per_op": resTracked.AllocsPerOp(),
 		"large_ns_per_op":       nsLarge,
 		"large_workers":         largeWorkers,
-		"parallel_ns_per_op":    nsParallel,
+		"parallel_ns_per_op":    parallelNs,
 		"parallel_workers":      parallelWorkers,
 		"huge_ns_per_op":        nsHuge,
 		"huge_allocs_per_op":    resHuge.AllocsPerOp(),

@@ -143,12 +143,12 @@ type Page struct {
 // recycled through a free list when pages are unmapped.
 //
 // The store is the only writer of Page.Node: Alloc places a new page,
-// Move places an existing one, Free takes it off every node. Each
-// placement is reported to the placement observer, if one is installed.
+// Move places an existing one, Free takes it off every node. Each Move
+// is reported to the move observer, if one is installed.
 type Store struct {
-	pages  []Page
-	free   []PFN
-	placed func(pfn PFN, node NodeID)
+	pages []Page
+	free  []PFN
+	moved func(pfn PFN, node NodeID)
 }
 
 // NewStore returns an empty store with capacity hint n pages.
@@ -156,9 +156,9 @@ func NewStore(n int) *Store {
 	return &Store{pages: make([]Page, 0, n)}
 }
 
-// SetPlacementObserver installs fn as the one observer told about every
-// page the store places on a node, by Alloc or Move (nil removes it).
-func (s *Store) SetPlacementObserver(fn func(pfn PFN, node NodeID)) { s.placed = fn }
+// SetMoveObserver installs fn as the one observer told about every live
+// page Move places on a new node (nil removes it).
+func (s *Store) SetMoveObserver(fn func(pfn PFN, node NodeID)) { s.moved = fn }
 
 // Alloc creates a new page of the given type on the given node and returns
 // its PFN. The page starts with empty flags and nil LRU links.
@@ -172,9 +172,6 @@ func (s *Store) Alloc(t PageType, node NodeID) PFN {
 		pfn = PFN(len(s.pages))
 		s.pages = append(s.pages, Page{Type: t, Node: node, Prev: NilPFN, Next: NilPFN})
 	}
-	if s.placed != nil {
-		s.placed(pfn, node)
-	}
 	return pfn
 }
 
@@ -182,8 +179,8 @@ func (s *Store) Alloc(t PageType, node NodeID) PFN {
 // page's residency has moved; the page keeps its PFN.
 func (s *Store) Move(pfn PFN, node NodeID) {
 	s.pages[pfn].Node = node
-	if s.placed != nil {
-		s.placed(pfn, node)
+	if s.moved != nil {
+		s.moved(pfn, node)
 	}
 }
 
@@ -202,10 +199,6 @@ func (s *Store) Page(pfn PFN) *Page { return &s.pages[pfn] }
 
 // Len returns the number of PFNs ever allocated (live + freed).
 func (s *Store) Len() int { return len(s.pages) }
-
-// Cap returns the number of PFNs the store holds room for before its
-// page array must grow: at least the capacity hint it was built with.
-func (s *Store) Cap() int { return cap(s.pages) }
 
 // Live returns the number of currently allocated pages.
 func (s *Store) Live() int { return len(s.pages) - len(s.free) }

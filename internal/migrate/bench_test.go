@@ -16,7 +16,7 @@ import (
 
 // BenchmarkMigrate measures a migrate batch: 1024 local pages demoted to
 // CXL, then promoted back, with an enabled NUMA balancer installed as the
-// store's placement observer (as on every TPP machine). ns/page is per
+// store's move observer (as on every TPP machine). ns/page is per
 // successful migration; the engine must allocate nothing.
 func BenchmarkMigrate(b *testing.B) {
 	const batch = 1024

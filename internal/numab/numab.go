@@ -25,23 +25,24 @@
 // The sampling scan is the balancer's only host-side loop that grows
 // with the address space: once warm, every cold CXL page is already
 // poisoned, so a scan walks a full pass to find the few pages to mark.
-// It reads the page table a run of up to 256 translations at a time
-// (pagetable.AddressSpace.TranslateRun) rather than one Translate per
-// VPN, and it tests a PFN-indexed candidate bitset before it reads a
-// page: a clear bit promises the page is already poisoned or sits on a
-// node the scan does not sample. Only a page's birth or move onto a
-// sampled node (reported by the store's placement observer) and a hint
-// fault set a bit, and the scan clears the bits of the pages it reads,
-// so a warm pass reads the page store only for pages that changed
-// since the last pass. On a 64K-page table a settled pass costs about
-// a fifth of a pass that reads every page; what remains is the page
-// table read and one bit test per VPN. The walk is pinned against the
-// per-VPN walk by a randomized equivalence test, and the bitset's
-// promise by a per-tick invariant check on whole machines.
+// It walks the page table's scan marks (pagetable.AddressSpace.ScanMarks),
+// one bit per frame slot in VA order, where a clear mark promises the
+// page at the slot is already poisoned or sits on a node the scan does
+// not sample. The page table marks every slot it maps; the balancer,
+// as the store's move observer, marks a page moved onto a sampled node,
+// and a hint fault marks its page again. The scan tests 64 slots
+// per word, skips zero words without translating them, reads a nonzero
+// word's marked span with TranslateRun, visits only its set bits, and
+// clears them. A settled pass thus costs one word load per 64 slots, and
+// a pass reads the page store only for pages placed or faulted since the
+// last pass. The walk is pinned against the per-VPN walk by a randomized
+// equivalence test, and the marks' promise by a per-tick invariant
+// check on whole machines.
 package numab
 
 import (
 	"fmt"
+	"math/bits"
 
 	"tppsim/internal/lru"
 	"tppsim/internal/mem"
@@ -122,25 +123,15 @@ type Balancer struct {
 	cursorOffset pagetable.VPN
 	sinceScan    uint64
 
-	// framePages is the sampling stride: 1 normally,
-	// mem.HugeFramePages in huge-page mode, where one poisoned PMD entry
-	// covers a whole 2 MB frame and the next touch anywhere in it raises
-	// the hint fault.
+	// framePages is the sampling stride, the page table's frame size:
+	// 1 normally, mem.HugeFramePages in huge-page mode, where one
+	// poisoned PMD entry covers a whole 2 MB frame and the next touch
+	// anywhere in it raises the hint fault.
 	framePages uint64
-
-	// cand is a PFN-indexed bitset of scan candidates. A clear bit, or a
-	// PFN past its end, promises the page is not one: it is already
-	// PGHinted, or it sits on a node the scan does not sample. Bits are
-	// set only where a candidate can appear (the store placing a page on
-	// a sampled node, a hint fault clearing PGHinted) and cleared only by
-	// the scan, so a warm scan skips settled pages without reading the
-	// page store.
-	cand []uint64
 }
 
 // New wires a balancer over the machine. An enabled balancer becomes the
-// store's placement observer, with every PFN the store already holds
-// marked a candidate.
+// store's move observer.
 func New(cfg Config, store *mem.Store, topo *tier.Topology, vecs []*lru.Vec,
 	stat *vmstat.NodeStats, engine *migrate.Engine, as *pagetable.AddressSpace) *Balancer {
 	cxl := make([]bool, topo.NumNodes())
@@ -149,63 +140,67 @@ func New(cfg Config, store *mem.Store, topo *tier.Topology, vecs []*lru.Vec,
 		cxl[i] = topo.Node(mem.NodeID(i)).Kind == mem.KindCXL
 		top[i] = topo.TierOf(mem.NodeID(i)) == 0
 	}
-	b := &Balancer{cfg: cfg.withDefaults(), store: store, topo: topo, vecs: vecs, stat: stat, engine: engine, as: as, nodeCXL: cxl, nodeTop: top, framePages: 1}
+	b := &Balancer{cfg: cfg.withDefaults(), store: store, topo: topo, vecs: vecs, stat: stat, engine: engine, as: as,
+		nodeCXL: cxl, nodeTop: top, framePages: uint64(1) << as.FrameShift()}
 	if b.cfg.Enabled {
-		b.cand = make([]uint64, (store.Cap()+63)/64)
-		for pfn := 0; pfn < store.Len(); pfn++ {
-			b.cand[pfn/64] |= 1 << (pfn % 64)
-		}
-		store.SetPlacementObserver(b.placed)
+		store.SetMoveObserver(b.moved)
 	}
 	return b
 }
 
-// placed is the store's placement observer: a page born on, or moved
-// to, a sampled node may be a scan candidate.
-func (b *Balancer) placed(pfn mem.PFN, node mem.NodeID) {
-	if b.cfg.CXLOnly && !b.nodeCXL[node] {
-		return
+// sampled reports whether the scan samples pages on node.
+func (b *Balancer) sampled(node mem.NodeID) bool { return !b.cfg.CXLOnly || b.nodeCXL[node] }
+
+// moved is the store's move observer: a page moved onto a sampled node
+// may be a scan candidate. (A newborn page needs no report: mapping it
+// sets its slot's mark.)
+func (b *Balancer) moved(pfn mem.PFN, node mem.NodeID) {
+	if b.sampled(node) {
+		b.as.MarkPFN(pfn)
 	}
-	w := int(pfn / 64)
-	if w >= len(b.cand) {
-		b.cand = append(b.cand, make([]uint64, w+1-len(b.cand))...)
-	}
-	b.cand[w] |= 1 << (pfn % 64)
 }
 
-// unhint clears pfn's PGHinted, as a hint fault restoring its PTE does,
-// which makes the page a scan candidate again.
-func (b *Balancer) unhint(pfn mem.PFN, pg *mem.Page) {
+// unhint clears the PGHinted of pg, mapped at v, as a hint fault
+// restoring its PTE does, which makes the page a scan candidate again.
+// The fault knows its address, so the mark is set by VPN, sparing the
+// reverse-map read MarkPFN would make.
+func (b *Balancer) unhint(v pagetable.VPN, pg *mem.Page) {
 	pg.Flags = pg.Flags.Clear(mem.PGHinted)
-	b.placed(pfn, pg.Node)
+	if b.sampled(pg.Node) {
+		b.as.MarkVPN(v)
+	}
 }
 
-// CheckCandidates verifies the candidate bitset's promise over every
-// mapped page: a page whose bit is clear must be PGHinted or off every
-// sampled node. A disabled balancer keeps no bitset and always passes.
+// CheckCandidates verifies the scan marks' promise over every mapped
+// slot: a page whose slot's mark is clear must be PGHinted or off every
+// sampled node. A disabled balancer never scans and always passes.
 func (b *Balancer) CheckCandidates() error {
 	if !b.cfg.Enabled {
 		return nil
 	}
-	var err error
-	b.as.ForEachMapped(func(v pagetable.VPN, pfn mem.PFN) {
-		if w := int(pfn / 64); err != nil || w < len(b.cand) && b.cand[w]&(1<<(pfn%64)) != 0 {
-			return
+	shift := b.as.FrameShift()
+	var buf [64]mem.PFN
+	for i := 0; i < b.as.NumRegions(); i++ {
+		marks := b.as.ScanMarks(i)
+		for w, word := range marks {
+			n := b.as.TranslateRun(i, pagetable.VPN(uint64(w)*64<<shift), b.framePages, buf[:])
+			for k, pfn := range buf[:n] {
+				if pfn == mem.NilPFN || word&(1<<k) != 0 {
+					continue
+				}
+				pg := b.store.Page(pfn)
+				if !pg.Flags.Has(mem.PGHinted) && b.sampled(pg.Node) {
+					v := b.as.RegionAt(i).Start + pagetable.VPN((uint64(w)*64+uint64(k))<<shift)
+					return fmt.Errorf("numab: VPN %d -> PFN %d on sampled node %d is unhinted but its scan mark is clear", v, pfn, pg.Node)
+				}
+			}
 		}
-		pg := b.store.Page(pfn)
-		if !pg.Flags.Has(mem.PGHinted) && (!b.cfg.CXLOnly || b.nodeCXL[pg.Node]) {
-			err = fmt.Errorf("numab: VPN %d -> PFN %d on sampled node %d is unhinted but not a scan candidate", v, pfn, pg.Node)
-		}
-	})
-	return err
+	}
+	return nil
 }
 
 // Config returns the balancer configuration.
 func (b *Balancer) Config() Config { return b.cfg }
-
-// SetFramePages sets the base pages each sampled PFN covers (a machine
-// property, set once by the simulator before any scan runs).
-func (b *Balancer) SetFramePages(fp uint64) { b.framePages = fp }
 
 // Tick advances the scan clock; on period boundaries it runs one sampling
 // scan. Returns the background CPU consumed.
@@ -221,22 +216,25 @@ func (b *Balancer) Tick() float64 {
 	return b.scan()
 }
 
-// scanRun is the page-table run length the scan reads per step: 1 KB of
-// PFNs, small enough to live on the stack.
+// scanRun is the most frame slots the scan translates per TranslateRun:
+// four mark words, 1 KB of PFNs, small enough to live on the stack.
 const scanRun = 256
 
 // scan walks the address space in VA order from the cursor, poisoning up
 // to ScanSizePages in-scope mapped pages (setting PGHinted, the simulator's
 // PTE present-bit clearing).
 //
-// The walk reads the page table a run at a time (TranslateRun) and
-// applies the per-page logic to the run in order, checking both bounds
-// before every page and advancing the cursor only past the pages it
-// consumed, so it poisons, charges and leaves the cursor exactly as a
-// Translate-per-VPN walk would. A page whose candidate bit is clear would
-// fail the per-page checks, so the walk skips it without reading the
-// page store. Every page the walk reads ends up poisoned or is out of
-// scope, so the walk clears its bit.
+// The walk reads the region's scan marks a word of 64 frame slots at a
+// time. A clear mark promises the per-page checks would skip the slot,
+// so a zero word is passed over without translating it; a nonzero word's
+// marked span is translated with TranslateRun, only its set bits are
+// visited, and the marks visited are cleared (every page the walk reads
+// ends up poisoned or is out of scope). The scan changes no translation,
+// so one run serves every word it covers. Both bounds are applied per
+// slot, as in a Translate-per-VPN walk: the visited bound clamps the
+// slots admitted, and the walk stops right after the page that reaches
+// ScanSizePages. So it poisons, charges and leaves the cursor exactly
+// as that walk would.
 func (b *Balancer) scan() float64 {
 	const perPageNs = 150 // PTE walk + unmap cost per sampled page
 	numRegions := b.as.NumRegions()
@@ -254,48 +252,84 @@ func (b *Balancer) scan() float64 {
 	// a PMD-mapped THP is one PTE-level operation covering the whole
 	// frame, so ScanSizePages (in base pages) covers 512x the VA per
 	// poison and the hint-fault sampling runs at huge granularity.
-	fp := b.framePages
+	fp, shift := b.framePages, b.as.FrameShift()
 	limit := b.cfg.ScanSizePages
 	total := int(b.as.TotalPages())
 	spent := 0.0
-	// Loop-invariant state in locals: the bitset store below would
-	// otherwise force a reload of each field on every page.
-	store, cand, nodeCXL, cxlOnly := b.store, b.cand, b.nodeCXL, b.cfg.CXLOnly
+	store, nodeCXL, cxlOnly := b.store, b.nodeCXL, b.cfg.CXLOnly
 	var buf [scanRun]mem.PFN
 	for marked < limit && visited < total {
-		n := b.as.TranslateRun(b.cursorRegion, b.cursorOffset, fp, buf[:])
-		if n == 0 {
+		r := b.as.RegionAt(b.cursorRegion)
+		slots := (r.Pages + fp - 1) >> shift
+		first := uint64(b.cursorOffset) >> shift
+		if first >= slots {
 			b.cursorRegion = (b.cursorRegion + 1) % numRegions
 			b.cursorOffset = 0
 			continue
 		}
-		// The visited bound admits the run's first end pages, so only the
-		// marked bound needs checking per page.
-		end := min(n, (total-visited+int(fp)-1)/int(fp))
-		k := 0
-		for ; k < end && marked < limit; k++ {
-			// A PFN past the bitset was never placed on a sampled node,
-			// and an unmapped slot's NilPFN is past every bitset.
-			pfn := buf[k]
-			w, bit := uint(pfn/64), uint64(1)<<(pfn%64)
-			if w >= uint(len(cand)) || cand[w]&bit == 0 {
+		// The visited bound admits the next ceil((total-visited)/fp) slots.
+		end := min(slots, first+uint64(total-visited+int(fp)-1)>>shift)
+		marks := b.as.ScanMarks(b.cursorRegion)
+		// The last word holds slot end-1; lastMask keeps its slots < end.
+		lastW, lastMask := (end-1)/64, ^uint64(0)>>(63-(end-1)%64)
+		var bufLo, bufHi uint64 // buf holds slots [bufLo, bufHi)
+		s := first
+		for s < end && marked < limit {
+			w := s / 64
+			base := w * 64
+			word := marks[w] &^ (1<<(s-base) - 1)
+			if w == lastW {
+				word &= lastMask
+			}
+			s = min(base+64, end)
+			if word == 0 {
 				continue
 			}
-			cand[w] &^= bit
-			pg := store.Page(pfn)
-			if cxlOnly && !nodeCXL[pg.Node] {
-				continue
+			if lo := base + uint64(bits.TrailingZeros64(word)); lo >= bufHi {
+				// Translate the word's marked span in one TranslateRun,
+				// continuing into the next words (up to scanRun slots)
+				// while the marks run unbroken across a word boundary,
+				// so densely marked ranges take a few long runs and
+				// sparse ones never translate long unmarked gaps.
+				hi := base + uint64(64-bits.LeadingZeros64(word))
+				for v := w + 1; v <= lastW && v*64+64 <= lo+scanRun && marks[v-1]>>63 != 0 && marks[v]&1 != 0; v++ {
+					next := marks[v]
+					if v == lastW {
+						next &= lastMask
+					}
+					hi = v*64 + uint64(64-bits.LeadingZeros64(next))
+				}
+				b.as.TranslateRun(b.cursorRegion, pagetable.VPN(lo<<shift), fp, buf[:hi-lo])
+				bufLo, bufHi = lo, hi
 			}
-			if pg.Flags.Has(mem.PGHinted) {
-				continue
+			rest := word
+			for rest != 0 {
+				k := uint64(bits.TrailingZeros64(rest))
+				rest &= rest - 1
+				pfn := buf[base+k-bufLo]
+				if pfn == mem.NilPFN {
+					continue // stale mark: unmapped since it was set
+				}
+				pg := store.Page(pfn)
+				if cxlOnly && !nodeCXL[pg.Node] {
+					continue
+				}
+				if pg.Flags.Has(mem.PGHinted) {
+					continue
+				}
+				pg.Flags = pg.Flags.Set(mem.PGHinted)
+				b.stat.Add(pg.Node, vmstat.NumaPagesScanned, fp)
+				marked += int(fp)
+				spent += perPageNs
+				if marked >= limit {
+					s = base + k + 1
+					break
+				}
 			}
-			pg.Flags = pg.Flags.Set(mem.PGHinted)
-			b.stat.Add(pg.Node, vmstat.NumaPagesScanned, fp)
-			marked += int(fp)
-			spent += perPageNs
+			marks[w] &^= word &^ rest // clear the marks just visited
 		}
-		visited += k * int(fp)
-		b.cursorOffset += pagetable.VPN(uint64(k) * fp)
+		visited += int(s-first) * int(fp)
+		b.cursorOffset = pagetable.VPN(s << shift)
 	}
 	return spent
 }
@@ -329,7 +363,10 @@ func (t *HintTracker) Stop() {}
 // OnAccess observes one access, discarding the promotion outcome (the
 // simulator's hot path calls Balancer.OnAccess directly when it needs
 // the charged latency).
-func (t *HintTracker) OnAccess(pfn mem.PFN, pg *mem.Page) { t.b.OnAccess(pfn, pg) }
+func (t *HintTracker) OnAccess(pfn mem.PFN, pg *mem.Page) {
+	v, _ := t.b.as.VPNOf(pfn)
+	t.b.OnAccess(v, pfn, pg)
+}
 
 // Tick advances the scan clock; a scan that consumed CPU counts as a
 // fold. Hint-fault counts reach the stats plane, not the heatmap.
@@ -350,18 +387,18 @@ type AccessOutcome struct {
 	LatencyNs float64
 }
 
-// OnAccess processes one CPU access to pfn; pg must be pfn's page (the
-// caller already has it, so the hot path avoids a second store lookup).
-// All simulated CPUs live on local nodes, so any access to a CXL-resident
-// page is a remote access.
-func (b *Balancer) OnAccess(pfn mem.PFN, pg *mem.Page) AccessOutcome {
+// OnAccess processes one CPU access to v, mapped to pfn; pg must be
+// pfn's page (the caller already has it, so the hot path avoids a
+// second store lookup). All simulated CPUs live on local nodes, so any
+// access to a CXL-resident page is a remote access.
+func (b *Balancer) OnAccess(v pagetable.VPN, pfn mem.PFN, pg *mem.Page) AccessOutcome {
 	if !b.cfg.Enabled {
 		return AccessOutcome{}
 	}
 	if !pg.Flags.Has(mem.PGHinted) {
 		return AccessOutcome{}
 	}
-	b.unhint(pfn, pg)
+	b.unhint(v, pg)
 	out := AccessOutcome{HintFault: true, LatencyNs: b.cfg.HintFaultNs}
 	b.stat.Inc(pg.Node, vmstat.NumaHintFaults)
 

@@ -56,6 +56,12 @@ func (f *fixture) populate(t *testing.T, id mem.NodeID, pt mem.PageType, n int, 
 	return pfns
 }
 
+// access is one CPU access to the page pfn at the VPN it is mapped at.
+func (f *fixture) access(pfn mem.PFN) AccessOutcome {
+	v, _ := f.as.VPNOf(pfn)
+	return f.b.OnAccess(v, pfn, f.store.Page(pfn))
+}
+
 // runScans advances the balancer to the next scan boundary.
 func (f *fixture) runScans(times int) {
 	period := f.b.Config().ScanPeriodTicks
@@ -73,7 +79,7 @@ func TestDisabledIsInert(t *testing.T) {
 	if f.stat.Get(vmstat.NumaPagesScanned) != 0 {
 		t.Fatal("disabled balancer scanned")
 	}
-	out := f.b.OnAccess(pfns[0], f.store.Page(pfns[0]))
+	out := f.access(pfns[0])
 	if out.HintFault || out.Promoted || out.LatencyNs != 0 {
 		t.Fatal("disabled balancer produced outcomes")
 	}
@@ -129,7 +135,7 @@ func TestHintFaultOnLocalNode(t *testing.T) {
 	f := newFixture(t, Config{Enabled: true, ScanSizePages: 100}, 100, 100)
 	pfns := f.populate(t, 0, mem.Anon, 5, false)
 	f.runScans(1)
-	out := f.b.OnAccess(pfns[0], f.store.Page(pfns[0]))
+	out := f.access(pfns[0])
 	if !out.HintFault || out.Promoted {
 		t.Fatalf("outcome = %+v", out)
 	}
@@ -140,7 +146,7 @@ func TestHintFaultOnLocalNode(t *testing.T) {
 		t.Fatal("local hint fault not counted")
 	}
 	// Fault consumed: second access is clean.
-	if out2 := f.b.OnAccess(pfns[0], f.store.Page(pfns[0])); out2.HintFault {
+	if out2 := f.access(pfns[0]); out2.HintFault {
 		t.Fatal("hint fault not consumed")
 	}
 }
@@ -150,7 +156,7 @@ func TestClassicInstantPromotion(t *testing.T) {
 	// Inactive CXL page: classic NUMA balancing promotes it instantly.
 	pfns := f.populate(t, 1, mem.Anon, 1, false)
 	f.runScans(1)
-	out := f.b.OnAccess(pfns[0], f.store.Page(pfns[0]))
+	out := f.access(pfns[0])
 	if !out.Promoted {
 		t.Fatal("classic balancing did not promote")
 	}
@@ -169,7 +175,7 @@ func TestActiveLRUFilterDefersInactivePage(t *testing.T) {
 	f.runScans(1)
 
 	// First hint fault: inactive -> activated, not promoted.
-	out := f.b.OnAccess(pfns[0], f.store.Page(pfns[0]))
+	out := f.access(pfns[0])
 	if out.Promoted {
 		t.Fatal("inactive page promoted instantly")
 	}
@@ -183,7 +189,7 @@ func TestActiveLRUFilterDefersInactivePage(t *testing.T) {
 
 	// Second scan + fault: now active -> promoted.
 	f.runScans(1)
-	out = f.b.OnAccess(pfns[0], f.store.Page(pfns[0]))
+	out = f.access(pfns[0])
 	if !out.Promoted {
 		t.Fatal("active page not promoted on second fault")
 	}
@@ -207,13 +213,13 @@ func TestIgnoreAllocWatermarkPromotesUnderPressure(t *testing.T) {
 	classic.runScans(1)
 	tpp.runScans(1)
 
-	if out := classic.b.OnAccess(cp[0], classic.store.Page(cp[0])); out.Promoted {
+	if out := classic.access(cp[0]); out.Promoted {
 		t.Fatal("classic promoted below alloc watermark")
 	}
 	if classic.stat.Get(vmstat.PromoteFailLowMem) != 1 {
 		t.Fatal("classic failure not counted")
 	}
-	if out := tpp.b.OnAccess(tp[0], tpp.store.Page(tp[0])); !out.Promoted {
+	if out := tpp.access(tp[0]); !out.Promoted {
 		t.Fatal("TPP did not promote despite watermark bypass")
 	}
 }
@@ -226,7 +232,7 @@ func TestPromotionStopsAtMinWatermark(t *testing.T) {
 	}
 	pfns := f.populate(t, 1, mem.Anon, 1, true)
 	f.runScans(1)
-	if out := f.b.OnAccess(pfns[0], f.store.Page(pfns[0])); out.Promoted {
+	if out := f.access(pfns[0]); out.Promoted {
 		t.Fatal("promotion dipped into the emergency reserve")
 	}
 	if f.stat.Get(vmstat.PromoteFailLowMem) == 0 {
@@ -239,7 +245,7 @@ func TestPromotedPageLandsActive(t *testing.T) {
 		IgnoreAllocWatermark: true, ScanSizePages: 100}, 100, 100)
 	pfns := f.populate(t, 1, mem.Anon, 1, true)
 	f.runScans(1)
-	out := f.b.OnAccess(pfns[0], f.store.Page(pfns[0]))
+	out := f.access(pfns[0])
 	if !out.Promoted {
 		t.Fatal("not promoted")
 	}

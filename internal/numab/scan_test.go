@@ -70,18 +70,22 @@ var scanTables = []struct {
 
 // scanRig is a balancer over a randomly populated address space. Two
 // rigs built from the same seed are identical, so one can run the
-// reference walk and the other the run walk.
+// reference walk and the other the mark walk.
 type scanRig struct {
 	store *mem.Store
 	stat  *vmstat.NodeStats
+	as    *pagetable.AddressSpace
 	b     *Balancer
+	// cxlShare/4 is the chance a populated frame lands on the CXL node.
+	cxlShare int
 }
 
 // newScanRig builds a machine of a few regions whose frames are mapped
 // in runs (on either node, some already poisoned), evicted in runs, or
 // left as never-populated holes, with the scan cursor placed mid-region.
-// The balancer is wired either before the store is populated (it then
-// observes every placement) or after (it must adopt the existing PFNs).
+// The balancer is wired either before the store is populated or after;
+// either way the marks come from the page table's maps, since the store
+// reports only moves.
 func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) *scanRig {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -89,91 +93,107 @@ func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	as := newAS()
-	fp := uint64(1) << as.FrameShift()
-	store := mem.NewStore(rng.Intn(64))
-	stat := vmstat.NewNodeStats(topo.NumNodes())
+	rig := &scanRig{as: newAS(), store: mem.NewStore(rng.Intn(64))}
+	rig.stat = vmstat.NewNodeStats(topo.NumNodes())
 	sizes := []int{1, 2, 5, 37, 4096}
 	cfg := Config{Enabled: true, ScanSizePages: sizes[rng.Intn(len(sizes))], CXLOnly: rng.Intn(2) == 0}
-	var b *Balancer
-	wire := func() {
-		b = New(cfg, store, topo, nil, stat, nil, as)
-		b.SetFramePages(fp)
-	}
+	wire := func() { rig.b = New(cfg, rig.store, topo, nil, rig.stat, nil, rig.as) }
 	late := rng.Intn(2) == 0
 	if !late {
 		wire()
 	}
-	// Each page lands on CXL with probability cxlShare/4. At share 0 a
-	// CXL-only balancer wired early never grows its bitset, so mapped
-	// PFNs lie past its end until they migrate.
-	cxlShare := rng.Intn(4)
-
-	types := []mem.PageType{mem.Anon, mem.File, mem.Tmpfs}
+	rig.cxlShare = rng.Intn(4)
 	nRegions := 2 + rng.Intn(4)
 	var regions []pagetable.Region
 	for i := 0; i < nRegions; i++ {
-		pages := uint64(1 + rng.Intn(300))
-		if fp > 1 {
-			// Whole frames plus, sometimes, a partial tail frame.
-			pages = uint64(1+rng.Intn(5))*fp - uint64(rng.Intn(2)*rng.Intn(int(fp)))
-		}
-		r := as.Mmap(pages, types[rng.Intn(len(types))])
-		regions = append(regions, r)
-		const (
-			hole = iota
-			evicted
-			mapped
-		)
-		state := mapped
-		for off := uint64(0); off < pages; off += fp {
-			if rng.Intn(4) == 0 {
-				state = rng.Intn(3)
-			}
-			if state == hole {
-				continue
-			}
-			span := pages - off
-			if span > fp {
-				span = fp
-			}
-			node := mem.NodeID(0)
-			if rng.Intn(4) < cxlShare {
-				node = 1
-			}
-			pfn := store.Alloc(r.Type, node)
-			as.MapRange(r.Start+pagetable.VPN(off), pfn, span)
-			if state == evicted {
-				kind := pagetable.EvictSwap
-				if rng.Intn(2) == 0 {
-					kind = pagetable.EvictFile
-				}
-				as.UnmapPFN(pfn, kind)
-				store.Free(pfn)
-				continue
-			}
-			if rng.Intn(3) == 0 {
-				pg := store.Page(pfn)
-				pg.Flags = pg.Flags.Set(mem.PGHinted)
-			}
-		}
+		regions = append(regions, rig.mmap(rng))
 	}
 	if late {
 		wire()
 	}
+	fp := rig.b.framePages
 	r := rng.Intn(len(regions))
-	b.cursorRegion = r
-	b.cursorOffset = pagetable.VPN(uint64(rng.Intn(int(regions[r].Pages))) / fp * fp)
-	return &scanRig{store: store, stat: stat, b: b}
+	rig.b.cursorRegion = r
+	rig.b.cursorOffset = pagetable.VPN(uint64(rng.Intn(int(regions[r].Pages))) / fp * fp)
+	return rig
 }
 
-// TestScanRunWalkMatchesPerVPN holds the run walk, candidate bitset
-// included, to the per-VPN reference on random machines over every table
-// shape: after each of several consecutive scans the cursors, the
-// poisoned-page sets, the per-node scan charges and the returned costs
-// must all agree. Between scans some hint faults are consumed through
-// the balancer and some pages migrate to the other node through the
-// store, the two events besides a birth that make a page a candidate.
+// mmap maps a new region of random size and type and populates it.
+func (rig *scanRig) mmap(rng *rand.Rand) pagetable.Region {
+	fp := uint64(1) << rig.as.FrameShift()
+	pages := uint64(1 + rng.Intn(300))
+	if fp > 1 {
+		// Whole frames plus, sometimes, a partial tail frame.
+		pages = uint64(1+rng.Intn(5))*fp - uint64(rng.Intn(2)*rng.Intn(int(fp)))
+	}
+	types := []mem.PageType{mem.Anon, mem.File, mem.Tmpfs}
+	r := rig.as.Mmap(pages, types[rng.Intn(len(types))])
+	const (
+		hole = iota
+		evicted
+		mapped
+	)
+	state := mapped
+	for off := uint64(0); off < pages; off += fp {
+		if rng.Intn(4) == 0 {
+			state = rng.Intn(3)
+		}
+		if state == hole {
+			continue
+		}
+		span := min(pages-off, fp)
+		node := mem.NodeID(0)
+		if rng.Intn(4) < rig.cxlShare {
+			node = 1
+		}
+		pfn := rig.store.Alloc(r.Type, node)
+		rig.as.MapRange(r.Start+pagetable.VPN(off), pfn, span)
+		if state == evicted {
+			kind := pagetable.EvictSwap
+			if rng.Intn(2) == 0 {
+				kind = pagetable.EvictFile
+			}
+			rig.as.UnmapPFN(pfn, kind)
+			rig.store.Free(pfn)
+			continue
+		}
+		if rng.Intn(3) == 0 {
+			pg := rig.store.Page(pfn)
+			pg.Flags = pg.Flags.Set(mem.PGHinted)
+		}
+	}
+	return r
+}
+
+// refault evicts the frame mapped at v, the first VPN of a frame slot
+// in region i, and faults the slot back in on a fresh PFN on node.
+func (rig *scanRig) refault(i int, v pagetable.VPN, node mem.NodeID) {
+	r := rig.as.RegionAt(i)
+	old, _ := rig.as.Translate(v)
+	fresh := rig.store.Alloc(r.Type, node)
+	rig.as.UnmapPFN(old, pagetable.EvictSwap)
+	rig.store.Free(old)
+	rig.as.MapRange(v, fresh, min(uint64(r.End()-v), rig.b.framePages))
+}
+
+// remap unmaps region i, freeing its pages, and maps a new region in
+// its place at the end of the address space.
+func (rig *scanRig) remap(i int, rng *rand.Rand) {
+	for _, pfn := range rig.as.Munmap(rig.as.RegionAt(i)) {
+		rig.store.Free(pfn)
+	}
+	rig.mmap(rng)
+}
+
+// TestScanRunWalkMatchesPerVPN holds the mark walk to the per-VPN
+// reference on random machines over every table shape: after each of
+// several consecutive scans the cursors, the poisoned-page sets, the
+// per-node scan charges and the returned costs must all agree, and the
+// scan marks must keep their promise. Between scans some hint faults
+// are consumed through the balancer, some pages migrate to the other
+// node through the store, some frames are evicted and refaulted onto
+// fresh PFNs at the same VPN, and sometimes a whole region is unmapped
+// and a new one mapped: every event that can put a candidate at a slot.
 func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -184,6 +204,7 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 			for seed := int64(1); seed <= int64(seeds); seed++ {
 				ref := newScanRig(t, tab.new, seed)
 				run := newScanRig(t, tab.new, seed)
+				rigs := []*scanRig{ref, run}
 				rng := rand.New(rand.NewSource(-seed))
 				for s := 0; s < 6; s++ {
 					want := scanPerVPN(ref.b)
@@ -220,14 +241,39 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 							continue
 						}
 						hint, move := rng.Intn(3) == 0, rng.Intn(8) == 0
-						for _, rig := range []*scanRig{ref, run} {
+						for _, rig := range rigs {
 							if pg := rig.store.Page(pfn); hint && pg.Flags.Has(mem.PGHinted) {
-								rig.b.unhint(pfn, pg)
+								v, _ := rig.as.VPNOf(pfn)
+								rig.b.unhint(v, pg)
 							}
 							if move {
 								rig.store.Move(pfn, 1-node)
 							}
 						}
+					}
+					// Evict and refault some frames at the same VPN.
+					fp := ref.b.framePages
+					for i := 0; i < ref.as.NumRegions(); i++ {
+						r := ref.as.RegionAt(i)
+						for v := r.Start; v < r.End(); v += pagetable.VPN(fp) {
+							if _, ok := ref.as.Translate(v); !ok || rng.Intn(6) != 0 {
+								continue
+							}
+							node := mem.NodeID(rng.Intn(2))
+							for _, rig := range rigs {
+								rig.refault(i, v, node)
+							}
+						}
+					}
+					// Sometimes replace a whole region.
+					if rng.Intn(2) == 0 {
+						i, sub := rng.Intn(ref.as.NumRegions()), rng.Int63()
+						for _, rig := range rigs {
+							rig.remap(i, rand.New(rand.NewSource(sub)))
+						}
+					}
+					if err := run.b.CheckCandidates(); err != nil {
+						t.Fatalf("%s, after churn: %v", where, err)
 					}
 				}
 			}
@@ -239,16 +285,18 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 // pages, four fifths on CXL, mapped in shuffled PFN order (as churn
 // leaves them) and all already poisoned, so a CXL-only scan walks the
 // whole address space and marks nothing. "settled" is the steady state,
-// every candidate bit clear; "cold" sets every bit before each pass, as
-// after a mass placement change, so the pass reads every page.
+// every scan mark clear; "sparse" marks a scattered 3% of the slots
+// before each pass, the share of pages churn-large places or faults
+// between scans; "cold" marks every slot, as after a mass placement
+// change, so the pass reads every page. Marks are set through MarkPFN
+// with the timer stopped.
 func BenchmarkScan(b *testing.B) {
 	for _, tab := range scanTables[:2] {
-		for _, cold := range []bool{false, true} {
-			name := tab.name + "/settled"
-			if cold {
-				name = tab.name + "/cold"
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, c := range []struct {
+			name  string
+			share float64
+		}{{"settled", 0}, {"sparse", 0.03}, {"cold", 1}} {
+			b.Run(tab.name+"/"+c.name, func(b *testing.B) {
 				const pages = 1 << 16
 				topo, err := tier.NewCXLSystem(tier.Config{LocalPages: pages / 5, CXLPages: pages})
 				if err != nil {
@@ -270,19 +318,28 @@ func BenchmarkScan(b *testing.B) {
 						pg.Flags = pg.Flags.Set(mem.PGHinted)
 					}
 				}
-				rand.New(rand.NewSource(1)).Shuffle(pages, func(i, j int) { pfns[i], pfns[j] = pfns[j], pfns[i] })
+				rng := rand.New(rand.NewSource(1))
+				rng.Shuffle(pages, func(i, j int) { pfns[i], pfns[j] = pfns[j], pfns[i] })
 				r := as.Mmap(pages, mem.Anon)
 				for i, pfn := range pfns {
 					as.MapPage(r.Start+pagetable.VPN(i), pfn)
 				}
-				bal.scan() // settle: the first pass clears every bit
+				// pfns is in VA order, so a random prefix of a
+				// permutation picks scattered slots.
+				var remark []mem.PFN
+				for _, i := range rng.Perm(pages)[:int(c.share*pages)] {
+					remark = append(remark, pfns[i])
+				}
+				bal.scan() // settle: the first pass clears every mark
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if cold {
-						for w := range bal.cand {
-							bal.cand[w] = ^uint64(0)
+					if len(remark) > 0 {
+						b.StopTimer()
+						for _, pfn := range remark {
+							as.MarkPFN(pfn)
 						}
+						b.StartTimer()
 					}
 					if bal.scan() != 0 {
 						b.Fatal("scan marked a page on a fully poisoned machine")

@@ -95,8 +95,8 @@ type FootprintStats struct {
 	Extents int
 	// Splits/Merges are the cumulative lazy-split and re-merge totals.
 	Splits, Merges uint64
-	// Bytes is the table's backing storage: translation state, reverse
-	// map, and region index.
+	// Bytes is the table's backing storage: translation state, scan
+	// marks, reverse map, and region index.
 	Bytes uint64
 }
 
@@ -112,6 +112,7 @@ func (as *AddressSpace) Footprint() FootprintStats {
 		b += uint64(cap(rs.exts)) * uint64(unsafe.Sizeof(extent{}))
 		b += uint64(cap(rs.pfns)) * uint64(unsafe.Sizeof(mem.PFN(0)))
 		b += uint64(cap(rs.estate)) * uint64(unsafe.Sizeof(EvictKind(0)))
+		b += uint64(cap(rs.marks)) * uint64(unsafe.Sizeof(uint64(0)))
 	}
 	b += uint64(cap(as.regions)) * uint64(unsafe.Sizeof(regionState{}))
 	b += uint64(cap(as.rmap)) * uint64(unsafe.Sizeof(VPN(0)))
@@ -272,8 +273,10 @@ func (as *AddressSpace) MapRange(v VPN, pfn mem.PFN, pages uint64) {
 	as.insertExtentAt(rs, extentInsertPos(rs.exts, v), extent{start: v, pages: pages, pfn: pfn})
 	frames := (pages + as.framePages - 1) >> as.frameShift
 	as.growRmap(pfn + mem.PFN(frames) - 1)
+	s := uint64(v-rs.Start) >> as.frameShift
 	for k := uint64(0); k < frames; k++ {
 		as.rmap[pfn+mem.PFN(k)] = v + VPN(k<<as.frameShift)
+		rs.marks[(s+k)/64] |= 1 << ((s + k) % 64)
 	}
 	as.mapped += int(pages)
 }

@@ -187,6 +187,44 @@ func (p *lockstepPair) translateRunOp(rng *rand.Rand) {
 	p.checkRun(i, off, uint64(1+rng.Intn(4)), 1+rng.Intn(40))
 }
 
+// markOp is the scan-mark check riding after every mutation: both
+// tables must hold the same marks, before and after a MarkPFN on a
+// mapped, freed or never-allocated PFN and a MarkVPN anywhere in the
+// address span, guard gaps included. Then, acting as the scan, it
+// sometimes clears one mark word in both so later mutations have clear
+// marks to set. Like translateRunOp it draws only after the mutation.
+func (p *lockstepPair) markOp(rng *rand.Rand) {
+	p.checkMarks()
+	pfn := mem.PFN(rng.Intn(int(p.nextPFN) + 3))
+	p.dense.MarkPFN(pfn)
+	p.ext.MarkPFN(pfn)
+	v := VPN(rng.Intn(int(p.dense.nextVPN) + 1))
+	p.dense.MarkVPN(v)
+	p.ext.MarkVPN(v)
+	p.checkMarks()
+	if len(p.regions) > 0 && rng.Intn(2) == 0 {
+		i := rng.Intn(len(p.regions))
+		w := rng.Intn(len(p.dense.ScanMarks(i)))
+		p.dense.ScanMarks(i)[w] = 0
+		p.ext.ScanMarks(i)[w] = 0
+	}
+}
+
+// checkMarks compares every slot's scan mark across the two tables.
+func (p *lockstepPair) checkMarks() {
+	for i := range p.regions {
+		md, me := p.dense.ScanMarks(i), p.ext.ScanMarks(i)
+		if len(md) != len(me) {
+			p.t.Fatalf("region %d: %d mark words dense, %d ext", i, len(md), len(me))
+		}
+		for w := range md {
+			if md[w] != me[w] {
+				p.t.Fatalf("region %d mark word %d: dense %#x ext %#x", i, w, md[w], me[w])
+			}
+		}
+	}
+}
+
 // mappedPFNs collects the dense table's live translations for picking
 // UnmapPFN victims.
 func (p *lockstepPair) mappedPFNs() []mem.PFN {
@@ -195,13 +233,14 @@ func (p *lockstepPair) mappedPFNs() []mem.PFN {
 	return pfns
 }
 
-// step applies one random operation, then a TranslateRun cross-check.
-// The op mix leans on map/unmap so runs form, diverge mid-run (lazy
-// splits), and reconverge (re-merges); region churn and eviction-state
-// writes ride along.
+// step applies one random operation, then a TranslateRun cross-check
+// and a scan-mark cross-check. The op mix leans on map/unmap so runs
+// form, diverge mid-run (lazy splits), and reconverge (re-merges);
+// region churn and eviction-state writes ride along.
 func (p *lockstepPair) step(rng *rand.Rand) {
 	p.mutate(rng)
 	p.translateRunOp(rng)
+	p.markOp(rng)
 }
 
 func (p *lockstepPair) mutate(rng *rand.Rand) {

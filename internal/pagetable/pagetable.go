@@ -23,6 +23,18 @@
 // NUMA-balancing PTE poisoning is represented by the PGHinted flag on the
 // page itself rather than a shadow PTE bit: the simulator has exactly one
 // mapping per page, so the two are equivalent.
+//
+// Scan marks. Each region also carries one scan mark per frame slot (a
+// page on 4 KB tables, a 2 MB frame in huge mode), packed 64 to a word
+// in VA order, for the NUMA-balancing scan (package numab). MapPage and
+// MapRange set the mark of every slot they map, and MarkVPN and MarkPFN
+// set the mark of the slot holding a VPN or a mapped PFN; only the scan,
+// reading ScanMarks, clears them. Unmaps leave marks as they are: the
+// scan then reads mem.NilPFN at the slot and clears the stale mark. A
+// clear mark at a mapped slot thus means no page was mapped there and
+// no caller marked it since the scan last read it, which lets a warm
+// pass skip 64 settled slots per word without translating them. The
+// marks cost one bit per slot and are counted by Footprint.
 package pagetable
 
 import (
@@ -78,6 +90,9 @@ type regionState struct {
 	// exts is the extent-mode representation (see extent.go): a sorted,
 	// disjoint run list replacing the dense arrays above, which stay nil.
 	exts []extent
+	// marks holds the region's scan marks, bit s%64 of word s/64 for
+	// frame slot s (VPNs Start+s<<frameShift onward).
+	marks []uint64
 }
 
 // AddressSpace is one process's page table, including the reverse map
@@ -160,7 +175,7 @@ func (as *AddressSpace) rebuildIndex() {
 
 // New returns an empty address space for the given PID.
 func New(pid int) *AddressSpace {
-	return &AddressSpace{PID: pid}
+	return &AddressSpace{PID: pid, framePages: 1}
 }
 
 // Mmap reserves a new region of the given size and page type. Pages are
@@ -175,7 +190,8 @@ func (as *AddressSpace) Mmap(pages uint64, t mem.PageType) Region {
 		as.nextVPN = (as.nextVPN + fp - 1) &^ (fp - 1)
 	}
 	r := Region{Start: as.nextVPN, Pages: pages, Type: t}
-	rs := regionState{Region: r}
+	slots := (pages + as.framePages - 1) >> as.frameShift
+	rs := regionState{Region: r, marks: make([]uint64, (slots+63)/64)}
 	if !as.ext {
 		rs.pfns = make([]mem.PFN, pages)
 		rs.estate = make([]EvictKind, pages)
@@ -295,6 +311,7 @@ func (as *AddressSpace) MapPage(v VPN, pfn mem.PFN) {
 		panic(fmt.Sprintf("pagetable: double map of VPN %d", v))
 	}
 	rs.pfns[i] = pfn
+	rs.marks[i/64] |= 1 << (i % 64)
 	if k := rs.estate[i]; k != EvictNone {
 		as.evictedByKind[k]--
 		rs.estate[i] = EvictNone
@@ -303,6 +320,29 @@ func (as *AddressSpace) MapPage(v VPN, pfn mem.PFN) {
 	as.rmap[pfn] = v
 	as.mapped++
 }
+
+// MarkPFN sets the scan mark of the slot pfn is mapped at, found through
+// the reverse map. An unmapped PFN has no slot, so it is a no-op.
+func (as *AddressSpace) MarkPFN(pfn mem.PFN) {
+	if int(pfn) < len(as.rmap) && as.rmap[pfn] != nilVPN {
+		as.MarkVPN(as.rmap[pfn])
+	}
+}
+
+// MarkVPN sets the scan mark of the slot holding v. A VPN outside every
+// region has no slot, so it is a no-op.
+func (as *AddressSpace) MarkVPN(v VPN) {
+	if rs := as.regionOf(v); rs != nil {
+		s := uint64(v-rs.Start) >> as.frameShift
+		rs.marks[s/64] |= 1 << (s % 64)
+	}
+}
+
+// ScanMarks returns region i's scan-mark words: bit s%64 of word s/64
+// is the mark of frame slot s, the slot holding VPNs from
+// Start+s<<FrameShift. The caller, the NUMA-balancing scan, clears the
+// marks it has read through the returned slice.
+func (as *AddressSpace) ScanMarks(i int) []uint64 { return as.regions[i].marks }
 
 // UnmapPage removes a translation, returning the PFN that was mapped.
 // In huge-frame extent mode the whole frame chunk containing v is

@@ -293,3 +293,65 @@ func TestMapUnmapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScanMarks pins the scan-mark contract on every table shape: a map
+// sets the mark of each slot it maps, MarkPFN sets the mark of a mapped
+// PFN's slot and ignores unmapped and never-seen PFNs, MarkVPN sets the
+// mark of the slot holding any VPN of a region and ignores the rest,
+// unmaps leave marks set, and a region's marks die with it.
+func TestScanMarks(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		as    *AddressSpace
+		shift uint
+	}{
+		{"dense", New(1), 0},
+		{"extent", NewExtent(1, 0), 0},
+		{"huge", NewExtent(1, mem.HugeFrameShift), mem.HugeFrameShift},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			as := tc.as
+			fp := VPN(1) << tc.shift
+			// 130 slots: three mark words, the last holding two slots.
+			r := as.Mmap(130*uint64(fp), mem.Anon)
+			marks := as.ScanMarks(0)
+			if len(marks) != 3 {
+				t.Fatalf("%d mark words for 130 slots, want 3", len(marks))
+			}
+			as.MapRange(r.Start, 10, uint64(fp))
+			as.MapRange(r.Start+65*fp, 11, uint64(fp))
+			as.MapRange(r.Start+129*fp, 12, uint64(fp))
+			if marks[0] != 1 || marks[1] != 2 || marks[2] != 2 {
+				t.Fatalf("marks after map = %#x, want [0x1 0x2 0x2]", marks)
+			}
+			for w := range marks {
+				marks[w] = 0 // read by the scan
+			}
+			as.MarkPFN(11)
+			as.MarkPFN(13)      // never mapped, inside the rmap
+			as.MarkPFN(1 << 20) // past the rmap
+			if marks[0] != 0 || marks[1] != 2 || marks[2] != 0 {
+				t.Fatalf("marks after MarkPFN = %#x, want [0 0x2 0]", marks)
+			}
+			as.MarkVPN(r.Start + 128*fp + fp - 1) // last VPN of slot 128
+			as.MarkVPN(r.End())                   // guard gap
+			if marks[2] != 1 {
+				t.Fatalf("mark word 2 after MarkVPN = %#x, want 0x1", marks[2])
+			}
+			as.UnmapPFN(11, EvictSwap)
+			as.MarkPFN(11) // unmapped now: no slot
+			if marks[1] != 2 {
+				t.Fatalf("unmap changed the mark word to %#x", marks[1])
+			}
+			as.Munmap(r)
+			r = as.Mmap(uint64(fp), mem.File)
+			if got := as.ScanMarks(0); len(got) != 1 || got[0] != 0 {
+				t.Fatalf("fresh region marks = %#x, want [0]", got)
+			}
+			as.MapRange(r.Start, 10, uint64(fp))
+			if got := as.ScanMarks(0)[0]; got != 1 {
+				t.Fatalf("fresh region mark after map = %#x, want 0x1", got)
+			}
+		})
+	}
+}

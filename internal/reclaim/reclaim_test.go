@@ -23,7 +23,7 @@ type fixture struct {
 	d     *Daemon
 }
 
-func newFixture(t *testing.T, cfg Config, localPages, cxlPages uint64, swapd *swap.Device) *fixture {
+func newFixture(t testing.TB, cfg Config, localPages, cxlPages uint64, swapd *swap.Device) *fixture {
 	t.Helper()
 	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: localPages, CXLPages: cxlPages})
 	if err != nil {
@@ -43,7 +43,7 @@ func newFixture(t *testing.T, cfg Config, localPages, cxlPages uint64, swapd *sw
 
 // populate maps n pages of type pt on node id (inactive, unreferenced),
 // each with a VA mapping so eviction has something to unmap.
-func (f *fixture) populate(t *testing.T, id mem.NodeID, pt mem.PageType, n int, dirty bool) []mem.PFN {
+func (f *fixture) populate(t testing.TB, id mem.NodeID, pt mem.PageType, n int, dirty bool) []mem.PFN {
 	t.Helper()
 	r := f.as.Mmap(uint64(n), pt)
 	pfns := make([]mem.PFN, n)

@@ -8,10 +8,10 @@ import (
 	"tppsim/internal/workload"
 )
 
-// TestScanCandidateInvariant holds the NUMA-balancing scan's candidate
-// bitset to its promise on whole machines: after every tick, every
-// mapped page whose bit is clear is already PGHinted or sits on a node
-// the scan does not sample. The machines cover every path that places a
+// TestScanCandidateInvariant holds the NUMA-balancing scan's page-table
+// scan marks to their promise on whole machines: after every tick, every
+// mapped page whose slot's mark is clear is already PGHinted or sits on
+// a node the scan does not sample. The machines cover every path that places a
 // page or clears a hint: TPP's CXL-only sampling, classic NUMA balancing
 // (every node sampled), AutoTiering's gated promotions, evacuation
 // migrations off an offlined expander node, and 2 MB frames.

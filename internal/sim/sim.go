@@ -396,9 +396,6 @@ func New(cfg Config) (*Machine, error) {
 		nb.ScanSizePages = int(cfg.Workload.TotalPages() / 32)
 	}
 	m.balancer = numab.New(nb, m.store, topo, m.vecs, m.stat, m.engine, m.as)
-	if huge {
-		m.balancer.SetFramePages(framePages)
-	}
 	m.numabOn = nb.Enabled
 	// The balancer's hint-fault sampling is one tracker among several:
 	// the daemon phase drives its scan clock through the Tracker
@@ -705,7 +702,7 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 		}
 		var event float64
 		if numabOn && pg.Flags.Has(mem.PGHinted) {
-			out := m.balancer.OnAccess(pfn, pg)
+			out := m.balancer.OnAccess(v, pfn, pg)
 			event = out.LatencyNs
 		}
 		// mark_page_accessed fast path: a page already active and
@@ -752,7 +749,7 @@ func (m *Machine) finishAccess(v pagetable.VPN, pfn mem.PFN, event float64) {
 	// pre-check keeps the (overwhelmingly common) non-fault case out of
 	// the balancer entirely.
 	if m.numabOn && pg.Flags.Has(mem.PGHinted) {
-		out := m.balancer.OnAccess(pfn, pg)
+		out := m.balancer.OnAccess(v, pfn, pg)
 		event += out.LatencyNs
 	}
 

@@ -11,6 +11,7 @@ package tier
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tppsim/internal/mem"
@@ -544,9 +545,10 @@ type NodeSpec struct {
 	// generalization of the legacy local:CXL Ratio.
 	Share uint64
 	// LoadLatencyNs overrides the kind's default load latency
-	// (local DRAM 100 ns, CXL 220 ns).
+	// (local DRAM 100 ns, CXL 220 ns); 0 keeps the default.
 	LoadLatencyNs float64
-	// BandwidthMBps overrides the kind's default link bandwidth.
+	// BandwidthMBps overrides the kind's default link bandwidth; 0
+	// keeps the default.
 	BandwidthMBps float64
 }
 
@@ -578,8 +580,9 @@ type Spec struct {
 
 // Validate checks the spec's structural invariants: at least one node,
 // at least one CPU node, exactly one of Pages/Share per node, a
-// representable node count, and a well-shaped distance matrix (deeper
-// distance-value checks happen in New at Build time).
+// representable node count, finite non-negative scale factor, latencies
+// and bandwidths (zero meaning the default), and a well-shaped distance
+// matrix (deeper distance-value checks happen in New at Build time).
 func (s Spec) Validate() error {
 	if len(s.Nodes) == 0 {
 		return fmt.Errorf("tier: spec %q has no nodes", s.Name)
@@ -587,9 +590,18 @@ func (s Spec) Validate() error {
 	if len(s.Nodes) > 127 {
 		return fmt.Errorf("tier: spec %q has %d nodes; node IDs are int8", s.Name, len(s.Nodes))
 	}
+	if !finiteNonNeg(s.DemoteScaleFactor) {
+		return fmt.Errorf("tier: spec %q demote scale factor %v is not a finite non-negative number", s.Name, s.DemoteScaleFactor)
+	}
 	for i, n := range s.Nodes {
 		if (n.Pages == 0) == (n.Share == 0) {
 			return fmt.Errorf("tier: spec %q node %d: exactly one of Pages and Share must be set", s.Name, i)
+		}
+		if !finiteNonNeg(n.LoadLatencyNs) {
+			return fmt.Errorf("tier: spec %q node %d load latency %v ns is not a finite non-negative number", s.Name, i, n.LoadLatencyNs)
+		}
+		if !finiteNonNeg(n.BandwidthMBps) {
+			return fmt.Errorf("tier: spec %q node %d bandwidth %v MB/s is not a finite non-negative number", s.Name, i, n.BandwidthMBps)
 		}
 	}
 	// Node 0 is the CPU node by convention (mem.NodeID's doc); the
@@ -604,6 +616,9 @@ func (s Spec) Validate() error {
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite number >= 0 (NaN is not).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Build resolves the spec into a Topology. workingSetPages sizes the
 // ratio-share nodes (the workload's TotalPages); slack is the capacity

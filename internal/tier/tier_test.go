@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -244,6 +245,34 @@ func TestSpecValidationErrors(t *testing.T) {
 		if _, err := c.spec.Build(c.ws, 0); err == nil {
 			t.Errorf("%s: Build accepted invalid spec", c.name)
 		}
+	}
+}
+
+// TestSpecRejectsNonFiniteValues: a NaN, infinite or negative scale
+// factor, latency or bandwidth fails Validate and Build with an error
+// instead of building a machine with absurd watermarks or latencies.
+func TestSpecRejectsNonFiniteValues(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, field := range []string{"DemoteScaleFactor", "LoadLatencyNs", "BandwidthMBps"} {
+			spec := PresetCXL(2, 1)
+			switch field {
+			case "DemoteScaleFactor":
+				spec.DemoteScaleFactor = bad
+			case "LoadLatencyNs":
+				spec.Nodes[1].LoadLatencyNs = bad
+			case "BandwidthMBps":
+				spec.Nodes[1].BandwidthMBps = bad
+			}
+			if err := spec.Validate(); err == nil {
+				t.Errorf("%s = %v: Validate accepted it", field, bad)
+			}
+			if _, err := spec.Build(4096, 0); err == nil {
+				t.Errorf("%s = %v: Build accepted it", field, bad)
+			}
+		}
+	}
+	if _, err := NewCXLSystem(Config{LocalPages: 10, CXLPages: 10, CXLLatencyNs: math.Inf(1)}); err == nil {
+		t.Error("NewCXLSystem accepted an infinite CXL latency")
 	}
 }
 

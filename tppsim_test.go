@@ -1,6 +1,7 @@
 package tppsim
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -166,6 +167,37 @@ func TestReplayOptionsFacade(t *testing.T) {
 	if _, err := Replay(path, MachineConfig{Seed: 11, Policy: TPP()},
 		ReplayOptions{}, ReplayOptions{}); err == nil {
 		t.Fatal("two ReplayOptions values accepted")
+	}
+}
+
+// TestReplayRejectsNaNTopology: trace headers carry the machine's
+// floats as raw bits, so a corrupt or hand-written header can hold a
+// NaN scale factor. Adopting that topology must fail the replay with an
+// error, not build a machine with nonsense watermarks.
+func TestReplayRejectsNaNTopology(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cxl.trace")
+	cfg := MachineConfig{
+		Seed:     5,
+		Policy:   TPP(),
+		Workload: Workloads["Cache1"](2 * 1024),
+		Topology: TopologyCXL(2, 1),
+		Minutes:  1,
+	}
+	if _, err := Record(cfg, path); err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	tr, err := OpenTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Header.Topology.DemoteScaleFactor = math.NaN()
+	bad := filepath.Join(dir, "nan.trace")
+	if err := tr.Save(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Replay(bad, MachineConfig{Seed: 5, Policy: TPP()}); err == nil {
+		t.Fatal("replay adopted a topology with a NaN demote scale factor")
 	}
 }
 
