@@ -113,8 +113,8 @@ const SimTickHugeBytesPerPageMax = 1.0
 // hugeBenchWorkload is SimTickBenchHugeConfig's driver: one 192 GB
 // (48M-page) anon region, sequentially prefaulted over the warm-up so
 // it is fully resident — 96K frames — before measurement starts. The
-// region is deliberately larger than the scatter-table bound, keeping
-// the workload side's own memory flat too.
+// workload keeps no per-page state (its rank→page permutation is
+// computed per access), so its own memory stays flat at any size.
 func hugeBenchWorkload() Workload {
 	return &workload.Profile{
 		PName:  "HugeBench",

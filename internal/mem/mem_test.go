@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestPageTypeString(t *testing.T) {
@@ -53,7 +54,7 @@ func TestFlagOps(t *testing.T) {
 // Property: Set then Clear restores the original value for any flag word
 // and any mask.
 func TestFlagRoundTripProperty(t *testing.T) {
-	f := func(orig, mask uint16) bool {
+	f := func(orig, mask uint8) bool {
 		fl := Flags(orig)
 		m := Flags(mask)
 		restored := fl.Set(m).Clear(m)
@@ -272,5 +273,13 @@ func TestNodeString(t *testing.T) {
 	want := "node2(cxl cap=10 resident=1 free=9)"
 	if got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestPageIs16Bytes pins the page record's size. Every simulated access
+// reads its page, and at 16 bytes four pages share a 64-byte cache line.
+func TestPageIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Page{}); got != 16 {
+		t.Fatalf("unsafe.Sizeof(mem.Page{}) = %d, want 16: a new field must first move an existing one out of Page", got)
 	}
 }

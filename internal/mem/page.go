@@ -9,6 +9,12 @@
 // frames, so a page's PFN is stable for its lifetime and capacity
 // accounting is by resident-page counts. This preserves everything the
 // placement algorithms observe.
+//
+// The page store is the simulator's largest per-page structure and every
+// simulated access reads it, so a Page is kept to 16 bytes, four to a
+// 64-byte cache line: one byte each for Type, Flags, Node and Home, then
+// the two PFN-valued LRU links and the AutoTiering epoch counter. Flags
+// is a byte with all eight bits in use.
 package mem
 
 import (
@@ -77,10 +83,11 @@ func (t PageType) LRUClass() int {
 	return 0
 }
 
-// Flags is the per-page flag word. The names mirror the kernel's page
+// Flags is the per-page flag byte. The names mirror the kernel's page
 // flags; PGDemoted is the flag TPP adds in the unused 0x40 bit to detect
-// demotion/promotion ping-pong (§5.5).
-type Flags uint16
+// demotion/promotion ping-pong (§5.5). All eight bits are in use, so a
+// ninth flag does not compile until one of these leaves.
+type Flags uint8
 
 const (
 	// PGActive: the page is on (or belongs on) the active LRU list.
@@ -118,6 +125,11 @@ func (f Flags) Clear(mask Flags) Flags { return f &^ mask }
 // Page is one logical 4 KB page. Pages are stored in a flat slice indexed
 // by PFN; the LRU links are intrusive (PFN-valued) to avoid per-node
 // container allocations on the hot path.
+//
+// A Page is 16 bytes (see the package doc), pinned by TestPageIs16Bytes:
+// a new field must first move an existing one out. Splitting the record
+// into a hot byte array plus parallel link arrays was measured slower,
+// because LRU updates then touch two random cache lines instead of one.
 type Page struct {
 	Type  PageType
 	Flags Flags
@@ -134,9 +146,6 @@ type Page struct {
 	// AccessEpoch counts accesses within the current AutoTiering epoch;
 	// the AutoTiering baseline ranks pages by it (§6.3).
 	AccessEpoch uint32
-	// LastAccessTick records the simulator tick of the most recent access,
-	// used by profiling and the workload's re-access bookkeeping.
-	LastAccessTick uint64
 }
 
 // Store owns every page in the machine. PFNs are allocated densely and

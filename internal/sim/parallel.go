@@ -10,7 +10,7 @@
 //   - a stage phase: the batch is cut into contiguous shards, one per
 //     worker; each worker translates its shard into its disjoint range
 //     of the shared PFN buffer (TranslateBatch reads the region index
-//     and scatter tables without mutating them) and sums page flags
+//     and PFN tables without mutating them) and sums page flags
 //     into private scratch to pull each access's page line toward the
 //     cache. Shard scratch merges at the barrier in fixed shard order —
 //     and since the only cross-shard accumulator is an integer sum,

@@ -299,6 +299,11 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("sim: no workload")
 	}
+	if v, ok := cfg.Workload.(workload.Validator); ok {
+		if err := v.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	var topo *tier.Topology
 	var err error
 	if len(cfg.Topology.Nodes) > 0 {
@@ -664,7 +669,7 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 	// counters accumulate locally (exact under reassociation, unlike the
 	// float latency sum, which keeps its per-access order).
 	store, latMat, nodeLocal := m.store, m.latMat, m.nodeLocal
-	nn, numabOn, tick := m.nNodes, m.numabOn, m.tick
+	nn, numabOn := m.nNodes, m.numabOn
 	latAcc := m.latAcc
 	trk := m.trkPlane
 	var accesses, local uint64
@@ -719,7 +724,6 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 		if trk != nil {
 			trk.OnAccess(pfn, pg)
 		}
-		pg.LastAccessTick = tick
 		accesses++
 		if servedLocal {
 			local++
@@ -764,7 +768,6 @@ func (m *Machine) finishAccess(v pagetable.VPN, pfn mem.PFN, event float64) {
 	if m.trkPlane != nil {
 		m.trkPlane.OnAccess(pfn, pg)
 	}
-	pg.LastAccessTick = m.tick
 
 	m.cur.Accesses++
 	if servedLocal {

@@ -17,6 +17,7 @@
 package workload
 
 import (
+	"fmt"
 	"math/bits"
 
 	"tppsim/internal/mem"
@@ -99,13 +100,22 @@ type DirtyModel interface {
 	DirtyProb(r pagetable.Region) float64
 }
 
+// Validator is an optional Workload extension for workloads whose
+// parameters can describe one that cannot run. The simulator calls
+// Validate before it builds a machine and fails with its error, so bad
+// sizing is reported instead of panicking mid-setup.
+type Validator interface {
+	Validate() error
+}
+
 // RegionSpec declares one region of a Profile.
 type RegionSpec struct {
 	// Name for debugging and per-region stats.
 	Name string
 	// Type is the page type of every page in the region.
 	Type mem.PageType
-	// Pages is the region size.
+	// Pages is the region size: at least one page unless this is a
+	// churn region (Profile.Validate).
 	Pages uint64
 	// Weight is the steady-state probability weight of accesses landing
 	// in this region.
@@ -187,12 +197,11 @@ type regionState struct {
 	grown     uint64           // accessible prefix (pages)
 	hot       uint64           // cached hot-set size for the current grown
 	region    pagetable.Region // static regions
-	// scatter is the precomputed rank→page permutation
-	// (idx*scatterPrime mod Pages) for static regions, so the per-access
-	// offset draw avoids a 64-bit multiply+divide. nil for churn regions
-	// and regions too large to table.
-	scatter []uint32
-	zipf    *xrand.Zipf
+	// scatterInv is the Barrett reciprocal floor((2^64-1)/Pages) that
+	// lets scatter compute a static region's rank→page permutation in
+	// registers.
+	scatterInv uint64
+	zipf       *xrand.Zipf
 	// Churn state: ring of segments, newest last.
 	segments []pagetable.Region
 	segPages uint64
@@ -218,6 +227,20 @@ func (rs *regionState) setGrown(g uint64) {
 
 var _ Workload = (*Profile)(nil)
 var _ DirtyModel = (*Profile)(nil)
+var _ Validator = (*Profile)(nil)
+
+// Validate implements Validator: every static region needs at least one
+// page to draw from. Catalog regions are sized as percentages of the
+// working set, so a small enough working set rounds one down to zero.
+// Churn regions are exempt: their segments have at least one page.
+func (p *Profile) Validate() error {
+	for _, spec := range p.Specs {
+		if spec.ChurnSegments == 0 && spec.Pages == 0 {
+			return fmt.Errorf("workload %s: region %q has 0 pages; a larger working set is needed", p.PName, spec.Name)
+		}
+	}
+	return nil
+}
 
 // Name implements Workload.
 func (p *Profile) Name() string { return p.PName }
@@ -299,12 +322,7 @@ func (p *Profile) Start(ctx Ctx) {
 			} else {
 				rs.setGrown(spec.Pages)
 			}
-			if spec.Pages <= 1<<22 {
-				rs.scatter = make([]uint32, spec.Pages)
-				for idx := uint64(0); idx < spec.Pages; idx++ {
-					rs.scatter[idx] = uint32((idx * scatterPrime) % spec.Pages)
-				}
-			}
+			rs.initScatter()
 		}
 		p.regions = append(p.regions, rs)
 		steady[i] = spec.Weight
@@ -496,11 +514,7 @@ fill:
 				default:
 					idx, w0, w1, w2, w3 = u64nRaw(rs.grown, w0, w1, w2, w3)
 				}
-				if rs.scatter != nil {
-					off = uint64(rs.scatter[idx])
-				} else {
-					off = (idx * scatterPrime) % rs.spec.Pages
-				}
+				off = rs.scatter(idx)
 			}
 			buf[n] = rs.region.Start + pagetable.VPN(off)
 			n++
@@ -583,10 +597,28 @@ func (rs *regionState) offset(rng *xrand.RNG) uint64 {
 	default:
 		idx = rng.Uint64n(rs.grown)
 	}
-	if rs.scatter != nil {
-		return uint64(rs.scatter[idx])
+	return rs.scatter(idx)
+}
+
+// initScatter precomputes scatter's reciprocal for the static region
+// rs.region.
+func (rs *regionState) initScatter() { rs.scatterInv = ^uint64(0) / rs.region.Pages }
+
+// scatter maps popularity rank idx to its page offset,
+// (idx*scatterPrime) % Pages, with a Barrett reduction instead of a
+// divide. For any 64-bit x, floor(x*scatterInv / 2^64) is floor(x/Pages)
+// or one less, so one correction step leaves exactly x % Pages. x is the
+// same wrapping product the definition reduces, so the offset is the
+// same bit for bit at every region size.
+func (rs *regionState) scatter(idx uint64) uint64 {
+	pages := rs.region.Pages
+	x := idx * scatterPrime
+	q, _ := bits.Mul64(x, rs.scatterInv)
+	r := x - q*pages
+	if r >= pages {
+		r -= pages
 	}
-	return (idx * scatterPrime) % rs.spec.Pages
+	return r
 }
 
 // churnAccess picks a segment with recency bias, then a page uniformly.

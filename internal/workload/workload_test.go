@@ -2,6 +2,7 @@ package workload
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"tppsim/internal/mem"
@@ -273,5 +274,81 @@ func TestDeterministicAccessStream(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("streams diverge at %d", i)
 		}
+	}
+}
+
+// TestScatterMatchesModulo pins the register-computed permutation to its
+// definition, (idx*scatterPrime) % Pages, bit for bit: at every size up
+// to 1024 pages, at the catalog's and the benchmarks' region sizes,
+// around the prime and a multiple of it (where the Barrett remainder
+// needs its correction step), around 2^32, and at sizes where the
+// product wraps past 2^64.
+func TestScatterMatchesModulo(t *testing.T) {
+	rng := xrand.New(7)
+	sizes := []uint64{
+		8192, 398458, 1 << 22, 1<<22 + 1, 48 << 20,
+		scatterPrime - 1, scatterPrime, scatterPrime + 1, 3 * scatterPrime,
+		1<<32 - 5, 1<<32 + 15, 1<<40 + 7, 1<<63 + 5, 1<<64 - 1,
+	}
+	for pages := uint64(1); pages <= 1<<10; pages++ {
+		sizes = append(sizes, pages)
+	}
+	for _, pages := range sizes {
+		rs := regionState{region: pagetable.Region{Pages: pages}}
+		rs.initScatter()
+		check := func(idx uint64) uint64 {
+			got := rs.scatter(idx)
+			if want := (idx * scatterPrime) % pages; got != want {
+				t.Fatalf("pages=%d: scatter(%d) = %d, want %d", pages, idx, got, want)
+			}
+			return got
+		}
+		check(0)
+		check(1 % pages)
+		check(pages - 1)
+		for i := 0; i < 10_000; i++ {
+			check(rng.Uint64n(pages))
+		}
+		if pages > 1<<16 {
+			continue
+		}
+		// Small regions: every rank, and every page hit exactly once.
+		seen := make([]bool, pages)
+		for idx := uint64(0); idx < pages; idx++ {
+			off := check(idx)
+			if seen[off] {
+				t.Fatalf("pages=%d: offset %d drawn twice", pages, off)
+			}
+			seen[off] = true
+		}
+	}
+}
+
+// TestValidateRejectsEmptyStaticRegions checks that Validate names a
+// static region that a small working set rounded down to zero pages, and
+// accepts every catalog profile at the default size and a zero-page
+// churn region.
+func TestValidateRejectsEmptyStaticRegions(t *testing.T) {
+	for _, tc := range []struct {
+		w      *Profile
+		region string
+	}{{Web1(50), "file-cold"}, {Cache1(5), "anon-query"}} {
+		err := tc.w.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.region) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.w.Name(), err, tc.region)
+		}
+	}
+	for name, ctor := range Catalog {
+		if p, ok := ctor(DefaultTotalPages).(*Profile); ok {
+			if err := p.Validate(); err != nil {
+				t.Errorf("%s at the default size: %v", name, err)
+			}
+		}
+	}
+	churnOnly := &Profile{PName: "churn", Specs: []RegionSpec{{
+		Name: "r", Type: mem.Anon, Pages: 0, Weight: 1, ChurnSegments: 4, ChurnTicks: 1,
+	}}}
+	if err := churnOnly.Validate(); err != nil {
+		t.Errorf("zero-page churn region rejected: %v", err)
 	}
 }
