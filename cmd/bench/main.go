@@ -20,14 +20,14 @@
 //
 //   - sampling-off ns/op regressed more than -tolerance (default 15%)
 //     against the committed baseline, or its allocs/op grew;
-//   - sampling-on ns/op exceeds the sampling-off run by more than
-//     -sampled-tolerance (default 10%) — a relative gate measured in
-//     the same process, so it is hardware-independent;
-//   - probes-on (latency histograms + phase profiler) ns/op exceeds the
-//     probe-off run by more than -probed-tolerance (default 10%), or
-//     its allocs/op grew at all;
-//   - tracker-on (idlepage sampled tracking) ns/op exceeds the
-//     tracker-off run by more than -tracked-tolerance (default 10%),
+//   - sampling-on ticks cost more than the sampling-off ticks by more
+//     than -sampled-tolerance (default 10%) — a relative gate measured
+//     in the same process, so it is hardware-independent;
+//   - probes-on (latency histograms + phase profiler) ticks cost more
+//     than the probe-off ticks by more than -probed-tolerance (default
+//     10%), or its allocs/op grew at all;
+//   - tracker-on (idlepage sampled tracking) ticks cost more than the
+//     tracker-off ticks by more than -tracked-tolerance (default 10%),
 //     or its allocs/op grew at all;
 //   - the terabyte-scale huge-page run (BenchmarkSimTickHuge) spends
 //     more than tppsim.SimTickHugeBytesPerPageMax simulator bytes per
@@ -39,6 +39,13 @@
 //     pay for itself where it claims to (results are bit-identical
 //     either way, so only wall-clock is at stake). Under 4 CPUs the
 //     gate is skipped (and says so): there is nothing to shard onto.
+//
+// The three overhead gates compare paired rounds, not one run of each
+// side: one plain and one feature machine are built and warmed once,
+// then each of overheadRounds rounds steps both for overheadBlock ticks,
+// alternating which goes first, so host noise falls on both sides
+// alike. Every round's feature/plain ratio is printed and the gate
+// reads their median.
 //
 // Checking does not overwrite the baseline; refresh it with a plain run
 // when a slowdown is intentional and explained.
@@ -53,11 +60,70 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"tppsim"
 	"tppsim/internal/prof"
 )
+
+// overheadRounds and overheadBlock size the paired overhead measurement:
+// each round steps the plain and the feature machine overheadBlock ticks
+// each.
+const (
+	overheadRounds = 11
+	overheadBlock  = 200
+)
+
+// warmMachine builds a machine and steps it past its fill phase, as
+// BenchmarkSimTick does.
+func warmMachine(cfg tppsim.MachineConfig) (*tppsim.Machine, error) {
+	m, err := tppsim.NewMachine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < tppsim.SimTickBenchWarmTicks; i++ {
+		m.Step()
+	}
+	if failed, why := m.Failed(); failed {
+		return nil, fmt.Errorf("machine failed during warm-up: %s", why)
+	}
+	return m, nil
+}
+
+// pairedOverhead measures what a feature costs per tick over the plain
+// machine it extends (see the package doc): it prints every round's
+// feature/plain time ratio and returns their median.
+func pairedOverhead(name string, plain, feature tppsim.MachineConfig) (float64, error) {
+	var ms [2]*tppsim.Machine
+	for k, cfg := range []tppsim.MachineConfig{plain, feature} {
+		m, err := warmMachine(cfg)
+		if err != nil {
+			return 0, fmt.Errorf("%s: %w", name, err)
+		}
+		ms[k] = m
+	}
+	ratios := make([]float64, overheadRounds)
+	var b strings.Builder
+	for r := range ratios {
+		var ns [2]time.Duration
+		for k := range ms {
+			side := k ^ r%2 // the plain machine goes first in even rounds
+			start := time.Now()
+			for range overheadBlock {
+				ms[side].Step()
+			}
+			ns[side] = time.Since(start)
+		}
+		ratios[r] = float64(ns[1]) / float64(ns[0])
+		fmt.Fprintf(&b, " %+.1f%%", 100*(ratios[r]-1))
+	}
+	fmt.Printf("%s rounds (%d ticks per side each):%s\n", name, overheadBlock, b.String())
+	slices.Sort(ratios)
+	return ratios[len(ratios)/2], nil
+}
 
 func main() {
 	out := flag.String("o", "BENCH_simtick.json", "output JSON path")
@@ -88,16 +154,9 @@ func main() {
 	var lastMachine *tppsim.Machine
 	bench := func(cfg tppsim.MachineConfig) testing.BenchmarkResult {
 		return testing.Benchmark(func(b *testing.B) {
-			m, err := tppsim.NewMachine(cfg)
+			m, err := warmMachine(cfg)
 			if err != nil {
 				b.Fatal(err)
-			}
-			// Warm the machine past its fill phase, as BenchmarkSimTick does.
-			for i := 0; i < tppsim.SimTickBenchWarmTicks; i++ {
-				m.Step()
-			}
-			if failed, why := m.Failed(); failed {
-				b.Fatalf("machine failed during warm-up: %s", why)
 			}
 			lastMachine = m
 			b.ReportAllocs()
@@ -159,17 +218,25 @@ func main() {
 			}
 		}
 		ratio := nsPerOp / base.NsPerOp
-		sampledRatio := nsSampled / nsPerOp
-		probedRatio := nsProbed / nsPerOp
-		trackedRatio := nsTracked / nsPerOp
 		fmt.Printf("SimTick: %.0f ns/op vs baseline %.0f ns/op (%+.1f%%, tolerance %.0f%%); %d allocs/op vs %d\n",
 			nsPerOp, base.NsPerOp, 100*(ratio-1), 100**tolerance, res.AllocsPerOp(), base.AllocsPerOp)
-		fmt.Printf("SimTickSampled: %.0f ns/op (%+.1f%% vs sampling off, tolerance %.0f%%); %d allocs/op\n",
-			nsSampled, 100*(sampledRatio-1), 100**sampledTol, resSampled.AllocsPerOp())
-		fmt.Printf("SimTickProbed: %.0f ns/op (%+.1f%% vs probes off, tolerance %.0f%%); %d allocs/op\n",
-			nsProbed, 100*(probedRatio-1), 100**probedTol, resProbed.AllocsPerOp())
-		fmt.Printf("SimTickTracked: %.0f ns/op (%+.1f%% vs tracker off, tolerance %.0f%%); %d allocs/op\n",
-			nsTracked, 100*(trackedRatio-1), 100**trackedTol, resTracked.AllocsPerOp())
+		overhead := func(name string, feature tppsim.MachineConfig) float64 {
+			r, err := pairedOverhead(name, tppsim.SimTickBenchConfig(), feature)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "bench:", err)
+				os.Exit(1)
+			}
+			return r
+		}
+		sampledRatio := overhead("SimTickSampled", tppsim.SimTickBenchSampledConfig())
+		probedRatio := overhead("SimTickProbed", tppsim.SimTickBenchProbedConfig())
+		trackedRatio := overhead("SimTickTracked", tppsim.SimTickBenchTrackedConfig())
+		fmt.Printf("SimTickSampled: %.0f ns/op; median %+.1f%% vs sampling off over %d rounds (tolerance %.0f%%); %d allocs/op\n",
+			nsSampled, 100*(sampledRatio-1), overheadRounds, 100**sampledTol, resSampled.AllocsPerOp())
+		fmt.Printf("SimTickProbed: %.0f ns/op; median %+.1f%% vs probes off over %d rounds (tolerance %.0f%%); %d allocs/op\n",
+			nsProbed, 100*(probedRatio-1), overheadRounds, 100**probedTol, resProbed.AllocsPerOp())
+		fmt.Printf("SimTickTracked: %.0f ns/op; median %+.1f%% vs tracker off over %d rounds (tolerance %.0f%%); %d allocs/op\n",
+			nsTracked, 100*(trackedRatio-1), overheadRounds, 100**trackedTol, resTracked.AllocsPerOp())
 		failed := false
 		if ratio > 1+*tolerance {
 			// Persistently over tolerance: either a real regression or a
@@ -187,13 +254,6 @@ func main() {
 			failed = true
 		}
 		if sampledRatio > 1+*sampledTol {
-			// Re-measure the pair once before failing, same noise logic.
-			off, on := bench(tppsim.SimTickBenchConfig()), bench(tppsim.SimTickBenchSampledConfig())
-			if r := nsOf(on) / nsOf(off); r < sampledRatio {
-				sampledRatio = r
-			}
-		}
-		if sampledRatio > 1+*sampledTol {
 			fmt.Fprintf(os.Stderr, "bench: series sampling costs %+.1f%% ns/op over sampling-off (limit %.0f%%)\n",
 				100*(sampledRatio-1), 100**sampledTol)
 			failed = true
@@ -206,13 +266,6 @@ func main() {
 			failed = true
 		}
 		if probedRatio > 1+*probedTol {
-			// Re-measure the pair once before failing, same noise logic.
-			off, on := bench(tppsim.SimTickBenchConfig()), bench(tppsim.SimTickBenchProbedConfig())
-			if r := nsOf(on) / nsOf(off); r < probedRatio {
-				probedRatio = r
-			}
-		}
-		if probedRatio > 1+*probedTol {
 			fmt.Fprintf(os.Stderr, "bench: probes cost %+.1f%% ns/op over probes-off (limit %.0f%%)\n",
 				100*(probedRatio-1), 100**probedTol)
 			failed = true
@@ -223,13 +276,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bench: probing grew allocs/op %d -> %d\n",
 				res.AllocsPerOp(), resProbed.AllocsPerOp())
 			failed = true
-		}
-		if trackedRatio > 1+*trackedTol {
-			// Re-measure the pair once before failing, same noise logic.
-			off, on := bench(tppsim.SimTickBenchConfig()), bench(tppsim.SimTickBenchTrackedConfig())
-			if r := nsOf(on) / nsOf(off); r < trackedRatio {
-				trackedRatio = r
-			}
 		}
 		if trackedRatio > 1+*trackedTol {
 			fmt.Fprintf(os.Stderr, "bench: tracking costs %+.1f%% ns/op over tracker-off (limit %.0f%%)\n",

@@ -34,6 +34,12 @@ func main() {
 	)
 	flag.Parse()
 
+	o := experiments.Options{Pages: *pages, Minutes: *minutes, Seed: *seed}
+	if err := o.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -56,7 +62,6 @@ func main() {
 		return
 	}
 
-	o := experiments.Options{Pages: *pages, Minutes: *minutes, Seed: *seed}
 	var specs []experiments.Spec
 	if strings.EqualFold(*runID, "all") {
 		specs = experiments.Registry()

@@ -40,3 +40,21 @@ func TestTooFewPagesExitsWithError(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeMinutesExitsWithError checks that a negative run length
+// ends the command with exit status 1 and a one-line error naming the
+// field, instead of a run that never ends.
+func TestNegativeMinutesExitsWithError(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-workload", "Cache1", "-pages", "2048", "-minutes", "-5")
+	cmd.Env = append(os.Environ(), "TPPSIM_TEST_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("err = %v, want exit status 1", err)
+	}
+	if msg := strings.TrimSpace(stderr.String()); !strings.Contains(msg, "Minutes") || strings.Contains(msg, "\n") {
+		t.Errorf("stderr %q, want one line naming Minutes", msg)
+	}
+}

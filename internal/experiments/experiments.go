@@ -54,6 +54,29 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Validate reports options no experiment can run with: a negative
+// Minutes, or a Pages at which one of the paper's workloads
+// (workload.Profiles) has a region of no pages. Zero fields take their
+// defaults first. It builds no machine, so a CLI can check its flags
+// before the first run.
+func (o Options) Validate() error {
+	if o.Minutes < 0 {
+		return fmt.Errorf("experiments: Minutes is %d; want >= 0 (0 means the default)", o.Minutes)
+	}
+	o = o.withDefaults()
+	names := make([]string, 0, len(workload.Profiles))
+	for name := range workload.Profiles {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if err := workload.Profiles[name](o.Pages).Validate(); err != nil {
+			return fmt.Errorf("experiments: %d pages: %w", o.Pages, err)
+		}
+	}
+	return nil
+}
+
 // Quick returns reduced options for benchmarks and smoke tests.
 func Quick() Options { return Options{Pages: 8 * 1024, Minutes: 20} }
 

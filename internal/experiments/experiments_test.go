@@ -108,3 +108,25 @@ func TestQuickEndToEnd(t *testing.T) {
 		t.Fatal("MT1 missing throughput series")
 	}
 }
+
+// TestOptionsValidate checks that Validate accepts the defaults and the
+// quick options, and names the problem for a negative run length and
+// for a working set too small for a workload's regions.
+func TestOptionsValidate(t *testing.T) {
+	for _, o := range []Options{{}, Quick()} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+	for _, c := range []struct {
+		o    Options
+		want string
+	}{
+		{Options{Minutes: -5}, "Minutes"},
+		{Options{Pages: 5}, "0 pages"},
+	} {
+		if err := c.o.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: Validate() = %v, want an error containing %q", c.o, err, c.want)
+		}
+	}
+}

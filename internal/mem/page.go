@@ -14,7 +14,8 @@
 // simulated access reads it, so a Page is kept to 16 bytes, four to a
 // 64-byte cache line: one byte each for Type, Flags, Node and Home, then
 // the two PFN-valued LRU links and the AutoTiering epoch counter. Flags
-// is a byte with all eight bits in use.
+// is a byte holding seven flags, so one bit is free. (The NUMA hint, the
+// scan's PTE poisoning, is not a page flag: it lives in the page table.)
 package mem
 
 import (
@@ -84,9 +85,8 @@ func (t PageType) LRUClass() int {
 }
 
 // Flags is the per-page flag byte. The names mirror the kernel's page
-// flags; PGDemoted is the flag TPP adds in the unused 0x40 bit to detect
-// demotion/promotion ping-pong (§5.5). All eight bits are in use, so a
-// ninth flag does not compile until one of these leaves.
+// flags; PGDemoted is the flag TPP adds to detect demotion/promotion
+// ping-pong (§5.5). Seven of the eight bits are in use.
 type Flags uint8
 
 const (
@@ -102,9 +102,6 @@ const (
 	PGUnevictable
 	// PGIsolated: the page has been taken off its LRU list for migration.
 	PGIsolated
-	// PGHinted: the NUMA-balancing scanner cleared the PTE present bit for
-	// this page; the next access raises a hint fault (§5.3).
-	PGHinted
 	// PGDemoted: set when TPP demotes the page, cleared on promotion.
 	// A promotion of a PGDemoted page is counted as ping-pong traffic.
 	PGDemoted

@@ -22,22 +22,31 @@
 //     on the target node (pressure from promotions then drives more
 //     demotion of colder local pages).
 //
-// The sampling scan is the balancer's only host-side loop that grows
-// with the address space: once warm, every cold CXL page is already
-// poisoned, so a scan walks a full pass to find the few pages to mark.
-// It walks the page table's scan marks (pagetable.AddressSpace.ScanMarks),
-// one bit per frame slot in VA order, where a clear mark promises the
-// page at the slot is already poisoned or sits on a node the scan does
-// not sample. The page table marks every slot it maps; the balancer,
-// as the store's move observer, marks a page moved onto a sampled node,
-// and a hint fault marks its page again. The scan tests 64 slots
-// per word, skips zero words without translating them, reads a nonzero
-// word's marked span with TranslateRun, visits only its set bits, and
-// clears them. A settled pass thus costs one word load per 64 slots, and
-// a pass reads the page store only for pages placed or faulted since the
-// last pass. The walk is pinned against the per-VPN walk by a randomized
-// equivalence test, and the marks' promise by a per-tick invariant
-// check on whole machines.
+// The poisoning lives in the page table, where the kernel's
+// change_prot_numa keeps it: the scan sets frame slots' hints
+// (pagetable.AddressSpace.Poison) and the access path learns the hint
+// from the translation, so neither reads the page store. The scan
+// samples only some nodes (the CXL nodes under CXLOnly), and the
+// balancer keeps one VA-ordered scan-mark lane per sampled node in the
+// page table, exact at all times: a slot's bit is set in a node's lane
+// exactly when the slot is mapped, its page sits on that node, and its
+// hint is clear. The balancer keeps them so through every transition:
+//
+//   - a demand fault maps a page unhinted (Mapped sets its node's mark);
+//   - an unmap clears the slot's hint and marks (the page table does);
+//   - a move to another node (the store's move observer) moves an
+//     unhinted slot's mark to the new node's lane;
+//   - a hint fault clears the hint and sets the mark again;
+//   - the scan hints the slots it consumes and clears their marks.
+//
+// The scan therefore walks the OR of the lanes from its cursor, 64
+// slots per word, and consumes set bits with word operations: a settled
+// pass costs one word load per lane per 64 slots, a pass reads no page
+// and no translation and writes only the hints of the slots it poisons,
+// and the per-node scan counters are popcounts. The walk is pinned
+// against the per-VPN walk by a randomized equivalence test, and the
+// marks' exactness by a per-tick check on whole machines. A disabled
+// balancer tracks no hints and the page table carries no bitmaps.
 package numab
 
 import (
@@ -49,7 +58,6 @@ import (
 	"tppsim/internal/migrate"
 	"tppsim/internal/pagetable"
 	"tppsim/internal/tier"
-	"tppsim/internal/tracker"
 	"tppsim/internal/vmstat"
 )
 
@@ -109,19 +117,23 @@ type Balancer struct {
 	engine *migrate.Engine
 	as     *pagetable.AddressSpace
 
-	// nodeCXL caches per-node "is CXL" so the per-access and per-scan
-	// checks are a slice index instead of a topology walk; nodeTop caches
-	// "is on the CPU tier" (tier 0), the promotability cut-off — on
-	// multi-hop machines a page anywhere below the CPU tier is a
-	// promotion candidate toward the next tier up.
-	nodeCXL []bool
+	// nodeTop caches per-node "is on the CPU tier" (tier 0), the
+	// promotability cut-off — on multi-hop machines a page anywhere below
+	// the CPU tier is a promotion candidate toward the next tier up.
 	nodeTop []bool
+	// lane maps a node to its scan-mark lane (-1: not sampled, and every
+	// node when the balancer is disabled); laneNode maps a lane back.
+	lane     []int
+	laneNode []mem.NodeID
 
 	// VA-order scan cursor (the kernel walks mm->mmap sequentially and
 	// wraps).
 	cursorRegion int
 	cursorOffset pagetable.VPN
 	sinceScan    uint64
+
+	// scanned counts the candidates the scan consumed per lane.
+	scanned []uint64
 
 	// framePages is the sampling stride, the page table's frame size:
 	// 1 normally, mem.HugeFramePages in huge-page mode, where one
@@ -130,71 +142,101 @@ type Balancer struct {
 	framePages uint64
 }
 
-// New wires a balancer over the machine. An enabled balancer becomes the
-// store's move observer.
+// poisonBatch is how many consumed mark words the scan hands to
+// pagetable.AddressSpace.Poison at once: enough for many PTE writes in
+// flight, few enough to stay in L1 (4 KB).
+const poisonBatch = 256
+
+// New wires a balancer over the machine. An enabled balancer turns on
+// the address space's hint tracking, with one lane per sampled node, so
+// it must be built before the first Mmap; it also becomes the store's
+// move observer.
 func New(cfg Config, store *mem.Store, topo *tier.Topology, vecs []*lru.Vec,
 	stat *vmstat.NodeStats, engine *migrate.Engine, as *pagetable.AddressSpace) *Balancer {
-	cxl := make([]bool, topo.NumNodes())
-	top := make([]bool, topo.NumNodes())
-	for i := range cxl {
-		cxl[i] = topo.Node(mem.NodeID(i)).Kind == mem.KindCXL
-		top[i] = topo.TierOf(mem.NodeID(i)) == 0
-	}
 	b := &Balancer{cfg: cfg.withDefaults(), store: store, topo: topo, vecs: vecs, stat: stat, engine: engine, as: as,
-		nodeCXL: cxl, nodeTop: top, framePages: uint64(1) << as.FrameShift()}
+		nodeTop: make([]bool, topo.NumNodes()), lane: make([]int, topo.NumNodes()),
+		framePages: uint64(1) << as.FrameShift()}
+	for i := range b.lane {
+		id := mem.NodeID(i)
+		b.nodeTop[i] = topo.TierOf(id) == 0
+		b.lane[i] = -1
+		if b.cfg.Enabled && (!b.cfg.CXLOnly || topo.Node(id).Kind == mem.KindCXL) {
+			b.lane[i] = len(b.laneNode)
+			b.laneNode = append(b.laneNode, id)
+		}
+	}
+	b.scanned = make([]uint64, len(b.laneNode))
 	if b.cfg.Enabled {
+		as.TrackHints(len(b.laneNode))
 		store.SetMoveObserver(b.moved)
 	}
 	return b
 }
 
-// sampled reports whether the scan samples pages on node.
-func (b *Balancer) sampled(node mem.NodeID) bool { return !b.cfg.CXLOnly || b.nodeCXL[node] }
+// Mapped reports a page just mapped at v on node, unhinted: the demand
+// fault path calls it after every map, and it marks the slot when the
+// scan samples node.
+func (b *Balancer) Mapped(v pagetable.VPN, node mem.NodeID) {
+	if l := b.lane[node]; l >= 0 {
+		b.as.PlaceMark(v, l)
+	}
+}
 
-// moved is the store's move observer: a page moved onto a sampled node
-// may be a scan candidate. (A newborn page needs no report: mapping it
-// sets its slot's mark.)
+// moved is the store's move observer: an unhinted page's mark follows
+// it to its new node's lane, or clears when the scan does not sample
+// that node. A page mapped nowhere has no slot.
 func (b *Balancer) moved(pfn mem.PFN, node mem.NodeID) {
-	if b.sampled(node) {
-		b.as.MarkPFN(pfn)
+	if v, ok := b.as.VPNOf(pfn); ok {
+		b.as.PlaceMark(v, b.lane[node])
 	}
 }
 
-// unhint clears the PGHinted of pg, mapped at v, as a hint fault
-// restoring its PTE does, which makes the page a scan candidate again.
-// The fault knows its address, so the mark is set by VPN, sparing the
-// reverse-map read MarkPFN would make.
-func (b *Balancer) unhint(v pagetable.VPN, pg *mem.Page) {
-	pg.Flags = pg.Flags.Clear(mem.PGHinted)
-	if b.sampled(pg.Node) {
-		b.as.MarkVPN(v)
-	}
-}
-
-// CheckCandidates verifies the scan marks' promise over every mapped
-// slot: a page whose slot's mark is clear must be PGHinted or off every
-// sampled node. A disabled balancer never scans and always passes.
+// CheckCandidates verifies that the scan marks are exact over every
+// frame slot: a mapped, unhinted slot whose page sits on a sampled node
+// has that node's mark and no other, and every other slot, mapped or
+// not, has none. The page table's hinted-slot count must equal the
+// hinted mapped slots, so no unmapped slot counts as hinted. A disabled
+// balancer tracks no hints and always passes.
 func (b *Balancer) CheckCandidates() error {
 	if !b.cfg.Enabled {
 		return nil
 	}
-	shift := b.as.FrameShift()
-	var buf [64]mem.PFN
+	shift, lanes := b.as.FrameShift(), uint64(len(b.laneNode))
+	nHinted := 0
 	for i := 0; i < b.as.NumRegions(); i++ {
+		r := b.as.RegionAt(i)
 		marks := b.as.ScanMarks(i)
-		for w, word := range marks {
-			n := b.as.TranslateRun(i, pagetable.VPN(uint64(w)*64<<shift), b.framePages, buf[:])
-			for k, pfn := range buf[:n] {
-				if pfn == mem.NilPFN || word&(1<<k) != 0 {
-					continue
-				}
-				pg := b.store.Page(pfn)
-				if !pg.Flags.Has(mem.PGHinted) && b.sampled(pg.Node) {
-					v := b.as.RegionAt(i).Start + pagetable.VPN((uint64(w)*64+uint64(k))<<shift)
-					return fmt.Errorf("numab: VPN %d -> PFN %d on sampled node %d is unhinted but its scan mark is clear", v, pfn, pg.Node)
+		for s := uint64(0); s < (r.Pages+b.framePages-1)>>shift; s++ {
+			v := r.Start + pagetable.VPN(s<<shift)
+			bit := uint64(1) << (s % 64)
+			pfn, hinted, ok := b.as.TranslateHinted(v)
+			var got, want uint64 // lane l's mark as bit l
+			for l := uint64(0); l < lanes; l++ {
+				if marks[s/64*lanes+l]&bit != 0 {
+					got |= 1 << l
 				}
 			}
+			if !ok {
+				if got != 0 {
+					return fmt.Errorf("numab: unmapped VPN %d has scan marks %#b", v, got)
+				}
+				continue
+			}
+			node := b.store.Page(pfn).Node
+			if l := b.lane[node]; l >= 0 && !hinted {
+				want = 1 << l
+			}
+			if hinted {
+				nHinted++
+			}
+			if got != want {
+				return fmt.Errorf("numab: VPN %d -> PFN %d on node %d (hinted %v) has scan marks %#b, want %#b",
+					v, pfn, node, hinted, got, want)
+			}
 		}
+	}
+	if n := b.as.HintedSlots(); n != nHinted {
+		return fmt.Errorf("numab: the page table counts %d hinted slots, the walk found %d", n, nHinted)
 	}
 	return nil
 }
@@ -216,27 +258,28 @@ func (b *Balancer) Tick() float64 {
 	return b.scan()
 }
 
-// scanRun is the most frame slots the scan translates per TranslateRun:
-// four mark words, 1 KB of PFNs, small enough to live on the stack.
-const scanRun = 256
-
 // scan walks the address space in VA order from the cursor, poisoning up
-// to ScanSizePages in-scope mapped pages (setting PGHinted, the simulator's
-// PTE present-bit clearing).
+// to ScanSizePages in-scope mapped pages (setting their slots' hint
+// bits, the simulator's PTE present-bit clearing).
 //
-// The walk reads the region's scan marks a word of 64 frame slots at a
-// time. A clear mark promises the per-page checks would skip the slot,
-// so a zero word is passed over without translating it; a nonzero word's
-// marked span is translated with TranslateRun, only its set bits are
-// visited, and the marks visited are cleared (every page the walk reads
-// ends up poisoned or is out of scope). The scan changes no translation,
-// so one run serves every word it covers. Both bounds are applied per
-// slot, as in a Translate-per-VPN walk: the visited bound clamps the
-// slots admitted, and the walk stops right after the page that reaches
-// ScanSizePages. So it poisons, charges and leaves the cursor exactly
-// as that walk would.
+// The scan marks are exact, so the OR of the lanes' words is the set of
+// slots a Translate-per-VPN walk would poison, and the walk consumes it
+// a word of 64 frame slots at a time: it counts each lane's candidates
+// for its node's numa_pages_scanned and hands the word to Poison (in
+// batches), which hints the candidates and clears their marks. Both bounds are applied
+// per slot, as in the per-VPN walk: the visited bound clamps the slots
+// admitted, and in the word holding the page that reaches ScanSizePages
+// the walk consumes the candidates up to that one and stops right after
+// it. So it poisons, charges and leaves the cursor exactly as that walk
+// would.
 func (b *Balancer) scan() float64 {
 	const perPageNs = 150 // PTE walk + unmap cost per sampled page
+	// poison collects the words consumed in the current region for
+	// Poison, a batch at a time: a Poison call per word would space the
+	// PTE writes out with the walk's own work, so few of their cache
+	// misses would overlap.
+	var poison [poisonBatch]pagetable.MarkWord
+	nPoison := 0
 	numRegions := b.as.NumRegions()
 	if numRegions == 0 {
 		return 0
@@ -247,6 +290,7 @@ func (b *Balancer) scan() float64 {
 	}
 	marked := 0
 	visited := 0
+	poisoned := 0
 	// Bound the walk to one full pass over the address space per scan.
 	// In huge-page mode the cursor strides one frame per step: poisoning
 	// a PMD-mapped THP is one PTE-level operation covering the whole
@@ -255,9 +299,8 @@ func (b *Balancer) scan() float64 {
 	fp, shift := b.framePages, b.as.FrameShift()
 	limit := b.cfg.ScanSizePages
 	total := int(b.as.TotalPages())
-	spent := 0.0
-	store, nodeCXL, cxlOnly := b.store, b.nodeCXL, b.cfg.CXLOnly
-	var buf [scanRun]mem.PFN
+	lanes := uint64(len(b.laneNode))
+	scanned := b.scanned // candidates consumed per lane
 	for marked < limit && visited < total {
 		r := b.as.RegionAt(b.cursorRegion)
 		slots := (r.Pages + fp - 1) >> shift
@@ -272,106 +315,76 @@ func (b *Balancer) scan() float64 {
 		marks := b.as.ScanMarks(b.cursorRegion)
 		// The last word holds slot end-1; lastMask keeps its slots < end.
 		lastW, lastMask := (end-1)/64, ^uint64(0)>>(63-(end-1)%64)
-		var bufLo, bufHi uint64 // buf holds slots [bufLo, bufHi)
-		s := first
-		for s < end && marked < limit {
-			w := s / 64
-			base := w * 64
-			word := marks[w] &^ (1<<(s-base) - 1)
+		s := end // where the walk stops, unless it reaches ScanSizePages
+		// j walks the lane words; a zero one holds no candidate, so the
+		// inner loop passes over a settled range a load per word.
+		for j, endJ := first/64*lanes, (lastW+1)*lanes; ; {
+			for j < endJ && marks[j] == 0 {
+				j++
+			}
+			if j == endJ {
+				break
+			}
+			w := j
+			if lanes > 1 {
+				w /= lanes
+			}
+			j = (w + 1) * lanes
+			lw := marks[w*lanes : j]
+			var word uint64
+			for _, m := range lw {
+				word |= m
+			}
+			if w == first/64 {
+				word &^= 1<<(first%64) - 1
+			}
 			if w == lastW {
 				word &= lastMask
 			}
-			s = min(base+64, end)
 			if word == 0 {
 				continue
 			}
-			if lo := base + uint64(bits.TrailingZeros64(word)); lo >= bufHi {
-				// Translate the word's marked span in one TranslateRun,
-				// continuing into the next words (up to scanRun slots)
-				// while the marks run unbroken across a word boundary,
-				// so densely marked ranges take a few long runs and
-				// sparse ones never translate long unmarked gaps.
-				hi := base + uint64(64-bits.LeadingZeros64(word))
-				for v := w + 1; v <= lastW && v*64+64 <= lo+scanRun && marks[v-1]>>63 != 0 && marks[v]&1 != 0; v++ {
-					next := marks[v]
-					if v == lastW {
-						next &= lastMask
-					}
-					hi = v*64 + uint64(64-bits.LeadingZeros64(next))
+			n := bits.OnesCount64(word)
+			if need := (limit - marked + int(fp) - 1) >> shift; n >= need {
+				// The need-th candidate reaches ScanSizePages: keep the
+				// candidates up to it and stop right after it.
+				k := word
+				for range need - 1 {
+					k &= k - 1
 				}
-				b.as.TranslateRun(b.cursorRegion, pagetable.VPN(lo<<shift), fp, buf[:hi-lo])
-				bufLo, bufHi = lo, hi
+				stop := uint64(bits.TrailingZeros64(k))
+				word &= ^uint64(0) >> (63 - stop)
+				s, n = w*64+stop+1, need
 			}
-			rest := word
-			for rest != 0 {
-				k := uint64(bits.TrailingZeros64(rest))
-				rest &= rest - 1
-				pfn := buf[base+k-bufLo]
-				if pfn == mem.NilPFN {
-					continue // stale mark: unmapped since it was set
-				}
-				pg := store.Page(pfn)
-				if cxlOnly && !nodeCXL[pg.Node] {
-					continue
-				}
-				if pg.Flags.Has(mem.PGHinted) {
-					continue
-				}
-				pg.Flags = pg.Flags.Set(mem.PGHinted)
-				b.stat.Add(pg.Node, vmstat.NumaPagesScanned, fp)
-				marked += int(fp)
-				spent += perPageNs
-				if marked >= limit {
-					s = base + k + 1
-					break
-				}
+			for l, m := range lw {
+				scanned[l] += uint64(bits.OnesCount64(m & word))
 			}
-			marks[w] &^= word &^ rest // clear the marks just visited
+			if nPoison == len(poison) {
+				b.as.Poison(b.cursorRegion, poison[:nPoison])
+				nPoison = 0
+			}
+			poison[nPoison] = pagetable.MarkWord{W: w, Slots: word}
+			nPoison++
+			marked += n * int(fp)
+			poisoned += n
+			if marked >= limit {
+				break
+			}
 		}
+		b.as.Poison(b.cursorRegion, poison[:nPoison])
+		nPoison = 0
 		visited += int(s-first) * int(fp)
 		b.cursorOffset = pagetable.VPN(s << shift)
 	}
-	return spent
-}
-
-// HintTracker is the balancer seen as one tracker among several
-// (tracker.Tracker): hint-fault sampling is just another sampled
-// access-tracking mechanism, with the scan as its Tick and the hint
-// faults themselves as its observations. The view is an adapter over
-// the existing behavior — driving the balancer through it performs
-// exactly the calls the simulator always made, so numab-driven runs
-// stay bit-identical. The balancer's signal feeds promotions directly
-// rather than a heatmap, so the view ignores the fold target.
-type HintTracker struct {
-	b *Balancer
-}
-
-var _ tracker.Tracker = (*HintTracker)(nil)
-
-// Tracker returns the balancer's tracker.Tracker view.
-func (b *Balancer) Tracker() *HintTracker { return &HintTracker{b: b} }
-
-// Name returns the tracker kind.
-func (t *HintTracker) Name() string { return "numab" }
-
-// Start is a no-op: the balancer is already bound to its machine.
-func (t *HintTracker) Start(tracker.Env) error { return nil }
-
-// Stop is a no-op.
-func (t *HintTracker) Stop() {}
-
-// OnAccess observes one access, discarding the promotion outcome (the
-// simulator's hot path calls Balancer.OnAccess directly when it needs
-// the charged latency).
-func (t *HintTracker) OnAccess(pfn mem.PFN, pg *mem.Page) {
-	v, _ := t.b.as.VPNOf(pfn)
-	t.b.OnAccess(v, pfn, pg)
-}
-
-// Tick advances the scan clock; a scan that consumed CPU counts as a
-// fold. Hint-fault counts reach the stats plane, not the heatmap.
-func (t *HintTracker) Tick(tick uint64, hm *tracker.Heatmap) bool {
-	return t.b.Tick() != 0
+	for l, c := range scanned {
+		if c != 0 {
+			b.stat.Add(b.laneNode[l], vmstat.NumaPagesScanned, c*fp)
+			scanned[l] = 0
+		}
+	}
+	// An integer count of 150 ns is exact in float64, as the per-page
+	// sum it replaces was.
+	return perPageNs * float64(poisoned)
 }
 
 // AccessOutcome describes what happened on one memory access from the
@@ -389,16 +402,14 @@ type AccessOutcome struct {
 
 // OnAccess processes one CPU access to v, mapped to pfn; pg must be
 // pfn's page (the caller already has it, so the hot path avoids a
-// second store lookup). All simulated CPUs live on local nodes, so any
-// access to a CXL-resident page is a remote access.
+// second store lookup). Only an access through a hinted slot takes a
+// hint fault, which clears the hint, so a later access to the same slot
+// in the same batch does not fault again. All simulated CPUs live on
+// local nodes, so any access to a CXL-resident page is a remote access.
 func (b *Balancer) OnAccess(v pagetable.VPN, pfn mem.PFN, pg *mem.Page) AccessOutcome {
-	if !b.cfg.Enabled {
+	if !b.cfg.Enabled || !b.as.Unhint(v, b.lane[pg.Node]) {
 		return AccessOutcome{}
 	}
-	if !pg.Flags.Has(mem.PGHinted) {
-		return AccessOutcome{}
-	}
-	b.unhint(v, pg)
 	out := AccessOutcome{HintFault: true, LatencyNs: b.cfg.HintFaultNs}
 	b.stat.Inc(pg.Node, vmstat.NumaHintFaults)
 

@@ -51,9 +51,17 @@ func (f *fixture) populate(t *testing.T, id mem.NodeID, pt mem.PageType, n int, 
 		pfn := f.store.Alloc(pt, id)
 		f.vecs[id].Add(pfn, active)
 		f.as.MapPage(r.Start+pagetable.VPN(i), pfn)
+		f.b.Mapped(r.Start+pagetable.VPN(i), id)
 		pfns[i] = pfn
 	}
 	return pfns
+}
+
+// hinted reports whether the slot pfn is mapped at is hinted.
+func (f *fixture) hinted(pfn mem.PFN) bool {
+	v, _ := f.as.VPNOf(pfn)
+	_, h, _ := f.as.TranslateHinted(v)
+	return h
 }
 
 // access is one CPU access to the page pfn at the VPN it is mapped at.
@@ -91,7 +99,7 @@ func TestScanPoisonsPages(t *testing.T) {
 	f.runScans(1)
 	marked := 0
 	for _, pfn := range pfns {
-		if f.store.Page(pfn).Flags.Has(mem.PGHinted) {
+		if f.hinted(pfn) {
 			marked++
 		}
 	}
@@ -108,7 +116,7 @@ func TestScanCursorWraps(t *testing.T) {
 	pfns := f.populate(t, 1, mem.Anon, 20, false)
 	f.runScans(2) // 30 > 20: must wrap and cover everything
 	for i, pfn := range pfns {
-		if !f.store.Page(pfn).Flags.Has(mem.PGHinted) {
+		if !f.hinted(pfn) {
 			t.Fatalf("page %d never sampled", i)
 		}
 	}
@@ -120,12 +128,12 @@ func TestCXLOnlySkipsLocal(t *testing.T) {
 	cxlPages := f.populate(t, 1, mem.Anon, 10, false)
 	f.runScans(1)
 	for _, pfn := range localPages {
-		if f.store.Page(pfn).Flags.Has(mem.PGHinted) {
+		if f.hinted(pfn) {
 			t.Fatal("local page sampled under CXLOnly")
 		}
 	}
 	for _, pfn := range cxlPages {
-		if !f.store.Page(pfn).Flags.Has(mem.PGHinted) {
+		if !f.hinted(pfn) {
 			t.Fatal("CXL page not sampled")
 		}
 	}

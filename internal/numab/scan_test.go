@@ -11,8 +11,9 @@ import (
 	"tppsim/internal/vmstat"
 )
 
-// scanPerVPN is the reference scan: one Translate per VPN, exactly the
-// walk scan replaced. The equivalence test holds scan to it.
+// scanPerVPN is the reference scan: one Translate and one page read per
+// VPN, reading and setting hints through the page table and ignoring
+// the scan marks. The equivalence test holds scan to it.
 func scanPerVPN(b *Balancer) float64 {
 	const perPageNs = 150
 	numRegions := b.as.NumRegions()
@@ -38,23 +39,30 @@ func scanPerVPN(b *Balancer) float64 {
 		v := r.Start + b.cursorOffset
 		b.cursorOffset += pagetable.VPN(fp)
 		visited += int(fp)
-		pfn, ok := b.as.Translate(v)
+		pfn, hinted, ok := b.as.TranslateHinted(v)
 		if !ok {
 			continue
 		}
 		pg := b.store.Page(pfn)
-		if b.cfg.CXLOnly && !b.nodeCXL[pg.Node] {
+		if b.cfg.CXLOnly && b.topo.Node(pg.Node).Kind != mem.KindCXL {
 			continue
 		}
-		if pg.Flags.Has(mem.PGHinted) {
+		if hinted {
 			continue
 		}
-		pg.Flags = pg.Flags.Set(mem.PGHinted)
+		poison(b, b.cursorRegion, v)
 		b.stat.Add(pg.Node, vmstat.NumaPagesScanned, fp)
 		marked += int(fp)
 		spent += perPageNs
 	}
 	return spent
+}
+
+// poison hints the slot holding v in region i and clears its scan
+// marks, as the scan does to a slot it consumes.
+func poison(b *Balancer, i int, v pagetable.VPN) {
+	s := uint64(v-b.as.RegionAt(i).Start) >> b.as.FrameShift()
+	b.as.Poison(i, []pagetable.MarkWord{{W: s / 64, Slots: 1 << (s % 64)}})
 }
 
 // scanTables names the page-table shapes the scan must handle: the dense
@@ -83,9 +91,7 @@ type scanRig struct {
 // newScanRig builds a machine of a few regions whose frames are mapped
 // in runs (on either node, some already poisoned), evicted in runs, or
 // left as never-populated holes, with the scan cursor placed mid-region.
-// The balancer is wired either before the store is populated or after;
-// either way the marks come from the page table's maps, since the store
-// reports only moves.
+// Every map is reported to the balancer, as the demand fault path does.
 func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) *scanRig {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -97,19 +103,12 @@ func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) 
 	rig.stat = vmstat.NewNodeStats(topo.NumNodes())
 	sizes := []int{1, 2, 5, 37, 4096}
 	cfg := Config{Enabled: true, ScanSizePages: sizes[rng.Intn(len(sizes))], CXLOnly: rng.Intn(2) == 0}
-	wire := func() { rig.b = New(cfg, rig.store, topo, nil, rig.stat, nil, rig.as) }
-	late := rng.Intn(2) == 0
-	if !late {
-		wire()
-	}
+	rig.b = New(cfg, rig.store, topo, nil, rig.stat, nil, rig.as)
 	rig.cxlShare = rng.Intn(4)
 	nRegions := 2 + rng.Intn(4)
 	var regions []pagetable.Region
 	for i := 0; i < nRegions; i++ {
 		regions = append(regions, rig.mmap(rng))
-	}
-	if late {
-		wire()
 	}
 	fp := rig.b.framePages
 	r := rng.Intn(len(regions))
@@ -147,7 +146,9 @@ func (rig *scanRig) mmap(rng *rand.Rand) pagetable.Region {
 			node = 1
 		}
 		pfn := rig.store.Alloc(r.Type, node)
-		rig.as.MapRange(r.Start+pagetable.VPN(off), pfn, span)
+		v := r.Start + pagetable.VPN(off)
+		rig.as.MapRange(v, pfn, span)
+		rig.b.Mapped(v, node)
 		if state == evicted {
 			kind := pagetable.EvictSwap
 			if rng.Intn(2) == 0 {
@@ -158,8 +159,7 @@ func (rig *scanRig) mmap(rng *rand.Rand) pagetable.Region {
 			continue
 		}
 		if rng.Intn(3) == 0 {
-			pg := rig.store.Page(pfn)
-			pg.Flags = pg.Flags.Set(mem.PGHinted)
+			poison(rig.b, rig.as.NumRegions()-1, v)
 		}
 	}
 	return r
@@ -174,6 +174,7 @@ func (rig *scanRig) refault(i int, v pagetable.VPN, node mem.NodeID) {
 	rig.as.UnmapPFN(old, pagetable.EvictSwap)
 	rig.store.Free(old)
 	rig.as.MapRange(v, fresh, min(uint64(r.End()-v), rig.b.framePages))
+	rig.b.Mapped(v, node)
 }
 
 // remap unmaps region i, freeing its pages, and maps a new region in
@@ -187,13 +188,13 @@ func (rig *scanRig) remap(i int, rng *rand.Rand) {
 
 // TestScanRunWalkMatchesPerVPN holds the mark walk to the per-VPN
 // reference on random machines over every table shape: after each of
-// several consecutive scans the cursors, the poisoned-page sets, the
-// per-node scan charges and the returned costs must all agree, and the
-// scan marks must keep their promise. Between scans some hint faults
-// are consumed through the balancer, some pages migrate to the other
-// node through the store, some frames are evicted and refaulted onto
-// fresh PFNs at the same VPN, and sometimes a whole region is unmapped
-// and a new one mapped: every event that can put a candidate at a slot.
+// several consecutive scans the cursors, the hinted slots, the per-node
+// scan charges and the returned costs must all agree, and the scan
+// marks must stay exact on both rigs. Between scans some hint faults
+// are consumed, some pages migrate to the other node through the store,
+// some frames are evicted and refaulted onto fresh PFNs at the same VPN,
+// and sometimes a whole region is unmapped and a new one mapped: every
+// event that can put a candidate at a slot or take one away.
 func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -224,14 +225,19 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 							t.Fatalf("%s: node %d scanned %d, want %d", where, id, g, w)
 						}
 					}
-					for pfn := mem.PFN(0); int(pfn) < ref.store.Len(); pfn++ {
-						w := ref.store.Page(pfn).Flags.Has(mem.PGHinted)
-						if g := run.store.Page(pfn).Flags.Has(mem.PGHinted); g != w {
-							t.Fatalf("%s: PFN %d hinted %v, want %v", where, pfn, g, w)
+					for i := 0; i < ref.as.NumRegions(); i++ {
+						r := ref.as.RegionAt(i)
+						for v := r.Start; v < r.End(); v++ {
+							_, g, _ := run.as.TranslateHinted(v)
+							if _, w, _ := ref.as.TranslateHinted(v); g != w {
+								t.Fatalf("%s: VPN %d hinted %v, want %v", where, v, g, w)
+							}
 						}
 					}
-					if err := run.b.CheckCandidates(); err != nil {
-						t.Fatalf("%s: %v", where, err)
+					for _, rig := range rigs {
+						if err := rig.b.CheckCandidates(); err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
 					}
 					// Consume some hint faults and migrate some pages so
 					// the next scan has work.
@@ -242,9 +248,8 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 						}
 						hint, move := rng.Intn(3) == 0, rng.Intn(8) == 0
 						for _, rig := range rigs {
-							if pg := rig.store.Page(pfn); hint && pg.Flags.Has(mem.PGHinted) {
-								v, _ := rig.as.VPNOf(pfn)
-								rig.b.unhint(v, pg)
+							if v, ok := rig.as.VPNOf(pfn); ok && hint {
+								rig.as.Unhint(v, rig.b.lane[node])
 							}
 							if move {
 								rig.store.Move(pfn, 1-node)
@@ -272,8 +277,10 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 							rig.remap(i, rand.New(rand.NewSource(sub)))
 						}
 					}
-					if err := run.b.CheckCandidates(); err != nil {
-						t.Fatalf("%s, after churn: %v", where, err)
+					for _, rig := range rigs {
+						if err := rig.b.CheckCandidates(); err != nil {
+							t.Fatalf("%s, after churn: %v", where, err)
+						}
 					}
 				}
 			}
@@ -281,15 +288,54 @@ func TestScanRunWalkMatchesPerVPN(t *testing.T) {
 	}
 }
 
-// BenchmarkScan measures one full scan pass in the warm worst case: 64K
-// pages, four fifths on CXL, mapped in shuffled PFN order (as churn
-// leaves them) and all already poisoned, so a CXL-only scan walks the
-// whole address space and marks nothing. "settled" is the steady state,
-// every scan mark clear; "sparse" marks a scattered 3% of the slots
-// before each pass, the share of pages churn-large places or faults
-// between scans; "cold" marks every slot, as after a mass placement
-// change, so the pass reads every page. Marks are set through MarkPFN
-// with the timer stopped.
+// TestScanPoisonsBeyondOneBatch runs one pass over a region whose
+// candidates fill more mark words than one Poison batch holds, two
+// full batches and a partial one: every candidate must be poisoned and
+// charged once, and the marks must stay exact.
+func TestScanPoisonsBeyondOneBatch(t *testing.T) {
+	for _, tab := range scanTables[:2] {
+		t.Run(tab.name, func(t *testing.T) {
+			const pages = 2*poisonBatch*64 + 100
+			topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 64, CXLPages: pages})
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := mem.NewStore(pages)
+			stat := vmstat.NewNodeStats(topo.NumNodes())
+			as := tab.new()
+			b := New(Config{Enabled: true, CXLOnly: true, ScanSizePages: pages}, store, topo, nil, stat, nil, as)
+			r := as.Mmap(pages, mem.Anon)
+			for i := 0; i < pages; i++ {
+				v := r.Start + pagetable.VPN(i)
+				as.MapPage(v, store.Alloc(mem.Anon, 1))
+				b.Mapped(v, 1)
+			}
+			if got := b.scan(); got != 150*pages {
+				t.Fatalf("scan cost %v, want %v", got, 150*pages)
+			}
+			if n := as.HintedSlots(); n != pages {
+				t.Fatalf("%d hinted slots, want %d", n, pages)
+			}
+			if n := stat.GetNode(1, vmstat.NumaPagesScanned); n != pages {
+				t.Fatalf("node 1 scanned %d pages, want %d", n, pages)
+			}
+			if err := b.CheckCandidates(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkScan measures one full scan pass over 64K pages, four fifths
+// on CXL, mapped in shuffled PFN order (as churn leaves them), under a
+// CXL-only balancer whose window covers the whole pass. "settled" is the
+// steady state: every CXL slot already hinted, every scan mark clear, so
+// the pass walks the whole address space and poisons nothing. "sparse"
+// gives a scattered 3% of the CXL slots a hint fault before each pass,
+// the share of pages churn-large places or faults between scans, and
+// the pass poisons them again; "cold" unhints every CXL slot, as after
+// a mass placement change, so the pass poisons them all. The hint
+// faults are taken with the timer stopped.
 func BenchmarkScan(b *testing.B) {
 	for _, tab := range scanTables[:2] {
 		for _, c := range []struct {
@@ -305,7 +351,7 @@ func BenchmarkScan(b *testing.B) {
 				store := mem.NewStore(pages)
 				stat := vmstat.NewNodeStats(topo.NumNodes())
 				as := tab.new()
-				bal := New(Config{Enabled: true, CXLOnly: true}, store, topo, nil, stat, nil, as)
+				bal := New(Config{Enabled: true, CXLOnly: true, ScanSizePages: pages}, store, topo, nil, stat, nil, as)
 				pfns := make([]mem.PFN, pages)
 				for i := range pfns {
 					node := mem.NodeID(1)
@@ -313,36 +359,40 @@ func BenchmarkScan(b *testing.B) {
 						node = 0
 					}
 					pfns[i] = store.Alloc(mem.Anon, node)
-					if node == 1 {
-						pg := store.Page(pfns[i])
-						pg.Flags = pg.Flags.Set(mem.PGHinted)
-					}
 				}
 				rng := rand.New(rand.NewSource(1))
 				rng.Shuffle(pages, func(i, j int) { pfns[i], pfns[j] = pfns[j], pfns[i] })
 				r := as.Mmap(pages, mem.Anon)
+				var cxl []pagetable.VPN
 				for i, pfn := range pfns {
-					as.MapPage(r.Start+pagetable.VPN(i), pfn)
+					v := r.Start + pagetable.VPN(i)
+					node := store.Page(pfn).Node
+					as.MapPage(v, pfn)
+					bal.Mapped(v, node)
+					if node == 1 {
+						cxl = append(cxl, v)
+					}
 				}
-				// pfns is in VA order, so a random prefix of a
+				// cxl is in VA order, so a random prefix of a
 				// permutation picks scattered slots.
-				var remark []mem.PFN
-				for _, i := range rng.Perm(pages)[:int(c.share*pages)] {
-					remark = append(remark, pfns[i])
+				var fault []pagetable.VPN
+				for _, i := range rng.Perm(len(cxl))[:int(c.share*float64(len(cxl)))] {
+					fault = append(fault, cxl[i])
 				}
-				bal.scan() // settle: the first pass clears every mark
+				bal.scan() // settle: the first pass poisons every CXL slot
+				want := 150 * float64(len(fault))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if len(remark) > 0 {
+					if len(fault) > 0 {
 						b.StopTimer()
-						for _, pfn := range remark {
-							as.MarkPFN(pfn)
+						for _, v := range fault {
+							as.Unhint(v, bal.lane[1])
 						}
 						b.StartTimer()
 					}
-					if bal.scan() != 0 {
-						b.Fatal("scan marked a page on a fully poisoned machine")
+					if got := bal.scan(); got != want {
+						b.Fatalf("scan cost %v, want %v", got, want)
 					}
 				}
 			})

@@ -99,38 +99,6 @@ func BenchmarkTranslateBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkTranslateRun measures one full VA-order pass over the
-// address space in 256-entry runs, the NUMA-balancing scan's read of
-// the table, on the dense and the per-page extent representations.
-func BenchmarkTranslateRun(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		new  func() *AddressSpace
-	}{{"dense", func() *AddressSpace { return New(1) }}, {"extent", func() *AddressSpace { return NewExtent(1, 0) }}} {
-		b.Run(tc.name, func(b *testing.B) {
-			as, _ := benchSpace(b, tc.new())
-			var out [256]mem.PFN
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for r := 0; r < as.NumRegions(); r++ {
-					for off := VPN(0); ; {
-						n := as.TranslateRun(r, off, 1, out[:])
-						if n == 0 {
-							break
-						}
-						off += VPN(n)
-					}
-				}
-			}
-			b.StopTimer()
-			if out[0] == mem.NilPFN {
-				b.Fatal("run translated nothing")
-			}
-		})
-	}
-}
-
 // BenchmarkFaultPath measures the page-table half of a demand fault:
 // translate miss, region lookup, eviction-state check, map, and the
 // reclaim-side unmap that makes the next fault possible.

@@ -33,6 +33,7 @@ package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 
 	"tppsim/internal/mem"
@@ -95,8 +96,8 @@ type FootprintStats struct {
 	Extents int
 	// Splits/Merges are the cumulative lazy-split and re-merge totals.
 	Splits, Merges uint64
-	// Bytes is the table's backing storage: translation state, scan
-	// marks, reverse map, and region index.
+	// Bytes is the table's backing storage: translation state, hint
+	// bits and scan marks, reverse map, and region index.
 	Bytes uint64
 }
 
@@ -112,7 +113,7 @@ func (as *AddressSpace) Footprint() FootprintStats {
 		b += uint64(cap(rs.exts)) * uint64(unsafe.Sizeof(extent{}))
 		b += uint64(cap(rs.pfns)) * uint64(unsafe.Sizeof(mem.PFN(0)))
 		b += uint64(cap(rs.estate)) * uint64(unsafe.Sizeof(EvictKind(0)))
-		b += uint64(cap(rs.marks)) * uint64(unsafe.Sizeof(uint64(0)))
+		b += uint64(cap(rs.marks)+cap(rs.hints)) * uint64(unsafe.Sizeof(uint64(0)))
 	}
 	b += uint64(cap(as.regions)) * uint64(unsafe.Sizeof(regionState{}))
 	b += uint64(cap(as.rmap)) * uint64(unsafe.Sizeof(VPN(0)))
@@ -250,8 +251,8 @@ func (as *AddressSpace) clearEvictedRange(rs *regionState, lo, hi VPN) {
 // consecutive frames starting at pfn — the huge-page fault path's bulk
 // MapPage. In extent mode v must be frame-aligned; the covered VPNs
 // must currently have no translation (double maps panic, as in
-// MapPage), and any eviction records in the range are cleared. Dense
-// tables take the per-page path.
+// MapPage, and so do PFNs reaching PFNLimit), and any eviction records
+// in the range are cleared. Dense tables take the per-page path.
 func (as *AddressSpace) MapRange(v VPN, pfn mem.PFN, pages uint64) {
 	if pages == 0 {
 		return
@@ -269,14 +270,15 @@ func (as *AddressSpace) MapRange(v VPN, pfn mem.PFN, pages uint64) {
 	if uint64(v)&(as.framePages-1) != 0 {
 		panic(fmt.Sprintf("pagetable: unaligned frame map at VPN %d (frame %d pages)", v, as.framePages))
 	}
+	frames := (pages + as.framePages - 1) >> as.frameShift
+	if uint64(pfn)+frames > uint64(PFNLimit) {
+		panic(fmt.Sprintf("pagetable: PFNs [%d,%d) reach PFNLimit", pfn, uint64(pfn)+frames))
+	}
 	as.clearEvictedRange(rs, v, v+VPN(pages))
 	as.insertExtentAt(rs, extentInsertPos(rs.exts, v), extent{start: v, pages: pages, pfn: pfn})
-	frames := (pages + as.framePages - 1) >> as.frameShift
 	as.growRmap(pfn + mem.PFN(frames) - 1)
-	s := uint64(v-rs.Start) >> as.frameShift
 	for k := uint64(0); k < frames; k++ {
 		as.rmap[pfn+mem.PFN(k)] = v + VPN(k<<as.frameShift)
-		rs.marks[(s+k)/64] |= 1 << ((s + k) % 64)
 	}
 	as.mapped += int(pages)
 }
@@ -289,6 +291,7 @@ func (as *AddressSpace) removeMappedChunk(rs *regionState, i int, lo, hi VPN, ki
 	e := &rs.exts[i]
 	chunkPFN := e.pfn + mem.PFN(uint64(lo-e.start)>>as.frameShift)
 	as.rmap[chunkPFN] = nilVPN
+	as.clearSlot(rs, lo)
 	chunkPages := uint64(hi - lo)
 	left := uint64(lo - e.start)
 	right := uint64(e.end() - hi)
@@ -359,9 +362,12 @@ func (as *AddressSpace) unmapPFNExtent(pfn mem.PFN, v VPN, kind EvictKind) (VPN,
 }
 
 // munmapExtents collects every mapped frame of a dying region, clears
-// its reverse-map slots, and unwinds the mapped/evicted accounting.
-// Munmap proper removes the region from the index.
+// its reverse-map slots, and unwinds the mapped/evicted/hinted
+// accounting. Munmap proper removes the region from the index.
 func (as *AddressSpace) munmapExtents(rs *regionState) []mem.PFN {
+	for _, w := range rs.hints {
+		as.nHinted -= bits.OnesCount64(w)
+	}
 	var pfns []mem.PFN
 	for j := range rs.exts {
 		e := &rs.exts[j]
@@ -379,44 +385,7 @@ func (as *AddressSpace) munmapExtents(rs *regionState) []mem.PFN {
 	return pfns
 }
 
-// translateRunExtent is TranslateRun's extent path: one binary search
-// for the first VPN, then a merge-style walk forward through the sorted
-// extent list, writing e.pfn + k frame by frame inside each mapped run.
-func (as *AddressSpace) translateRunExtent(rs *regionState, v, stride VPN, out []mem.PFN) {
-	exts := rs.exts
-	j := extentInsertPos(exts, v) - 1
-	if j < 0 {
-		j = 0
-	}
-	fShift := as.frameShift
-	for k := 0; k < len(out); {
-		for j < len(exts) && exts[j].end() <= v {
-			j++
-		}
-		if j == len(exts) || exts[j].start > v || exts[j].pfn == mem.NilPFN {
-			out[k] = mem.NilPFN
-			k++
-			v += stride
-			continue
-		}
-		// Fill every step that lands in this mapped run in one tight loop.
-		e := &exts[j]
-		m := (uint64(e.end()-v) + uint64(stride) - 1) / uint64(stride)
-		if rest := uint64(len(out) - k); m > rest {
-			m = rest
-		}
-		dst := out[k : k+int(m)]
-		pfn, rel := e.pfn, uint64(v-e.start)
-		for q := range dst {
-			dst[q] = pfn + mem.PFN(rel>>fShift)
-			rel += uint64(stride)
-		}
-		k += len(dst)
-		v += stride * VPN(m)
-	}
-}
-
-// translateBatchExtent is TranslateBatch over the extent
+// translateBatchExtent is TranslateBatchHinted over the extent
 // representation: the same bucket-index region resolution as the dense
 // path, then a binary search of the region's extent list, with a
 // one-extent cache in locals — consecutive accesses into the same run
@@ -472,5 +441,32 @@ func (as *AddressSpace) translateBatchExtent(vs []VPN, out []mem.PFN) {
 			}
 		}
 		out[i] = mem.NilPFN
+	}
+	if as.nHinted == 0 {
+		return
+	}
+	// The hints come from the regions' bitmaps in a second pass, so the
+	// loop above stays as lean as on a table without hints. rs caches
+	// the last region; the lookup only reads, as concurrent stage shards
+	// require.
+	var rs *regionState
+	for i, v := range vs {
+		if out[i] == mem.NilPFN {
+			continue
+		}
+		if rs == nil || v < rs.Start || v >= rs.End() {
+			lo, hi := 0, len(starts)
+			for lo < hi {
+				mid := int(uint(lo+hi) >> 1)
+				if starts[mid] <= v {
+					lo = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			rs = &regions[lo-1] // a mapped v lies in a region
+		}
+		s := uint64(v-rs.Start) >> fShift
+		out[i] |= mem.PFN(rs.hints[s/64]>>(s%64)&1) << 31
 	}
 }

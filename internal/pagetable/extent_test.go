@@ -24,8 +24,14 @@ type lockstepPair struct {
 	regions []Region // live regions (identical in both tables)
 }
 
+// lockstepLanes is the scan-mark lane count both tables track.
+const lockstepLanes = 2
+
 func newLockstepPair(t *testing.T) *lockstepPair {
-	return &lockstepPair{t: t, dense: New(1), ext: NewExtent(1, 0)}
+	p := &lockstepPair{t: t, dense: New(1), ext: NewExtent(1, 0)}
+	p.dense.TrackHints(lockstepLanes)
+	p.ext.TrackHints(lockstepLanes)
+	return p
 }
 
 func (p *lockstepPair) allocPFN() mem.PFN {
@@ -117,16 +123,27 @@ func (p *lockstepPair) check() {
 	}
 	outD := make([]mem.PFN, len(vs))
 	outE := make([]mem.PFN, len(vs))
+	rawD := make([]mem.PFN, len(vs))
+	rawE := make([]mem.PFN, len(vs))
 	d.TranslateBatch(vs, outD)
 	e.TranslateBatch(vs, outE)
+	d.TranslateBatchHinted(vs, rawD)
+	e.TranslateBatchHinted(vs, rawE)
 	for i, v := range vs {
-		if outD[i] != outE[i] {
-			p.t.Fatalf("TranslateBatch(%d): dense %d ext %d", v, outD[i], outE[i])
+		pd, hd, okd := d.TranslateHinted(v)
+		pe, he, oke := e.TranslateHinted(v)
+		if pd != pe || hd != he || okd != oke {
+			p.t.Fatalf("TranslateHinted(%d): dense %d,%v,%v ext %d,%v,%v", v, pd, hd, okd, pe, he, oke)
 		}
-		pd, okd := d.Translate(v)
-		pe, oke := e.Translate(v)
-		if pd != pe || okd != oke {
-			p.t.Fatalf("Translate(%d): dense %d,%v ext %d,%v", v, pd, okd, pe, oke)
+		if outD[i] != pd || outE[i] != pd {
+			p.t.Fatalf("TranslateBatch(%d): dense %d ext %d, want %d", v, outD[i], outE[i], pd)
+		}
+		raw := pd
+		if hd {
+			raw |= HintBit
+		}
+		if rawD[i] != raw || rawE[i] != raw {
+			p.t.Fatalf("TranslateBatchHinted(%d): dense %#x ext %#x, want %#x", v, rawD[i], rawE[i], raw)
 		}
 		if kd, ke := d.Evicted(v), e.Evicted(v); kd != ke {
 			p.t.Fatalf("Evicted(%d): dense %d ext %d", v, kd, ke)
@@ -139,82 +156,53 @@ func (p *lockstepPair) check() {
 			}
 		}
 	}
-	for i, r := range p.regions {
-		p.checkRun(i, 0, 1, int(r.Pages))
-	}
 }
 
-// checkRun compares TranslateRun on both tables against each other and
-// against per-VPN Translate for one (region, offset, stride, length).
-func (p *lockstepPair) checkRun(i int, off VPN, stride uint64, length int) {
-	r := p.regions[i]
-	outD := make([]mem.PFN, length)
-	outE := make([]mem.PFN, length)
-	nd := p.dense.TranslateRun(i, off, stride, outD)
-	ne := p.ext.TranslateRun(i, off, stride, outE)
-	want := 0
-	if uint64(off) < r.Pages {
-		want = int((r.Pages - uint64(off) + stride - 1) / stride)
-	}
-	if want > length {
-		want = length
-	}
-	if nd != want || ne != want {
-		p.t.Fatalf("TranslateRun(%d,%d,%d,len %d) count: dense %d ext %d want %d", i, off, stride, length, nd, ne, want)
-	}
-	for k := 0; k < want; k++ {
-		v := r.Start + off + VPN(uint64(k)*stride)
-		pfn, ok := p.dense.Translate(v)
-		if !ok {
-			pfn = mem.NilPFN
-		}
-		if outD[k] != pfn || outE[k] != pfn {
-			p.t.Fatalf("TranslateRun(%d,%d,%d) at VPN %d: dense %d ext %d want %d", i, off, stride, v, outD[k], outE[k], pfn)
+// hintOp is the hint-state check riding after every mutation: both
+// tables must hold the same hints and mark words, no unmapped slot may
+// have a mark, and the hinted-slot count must equal the hinted mapped
+// slots, so every unmap must have cleared its slot. Then, acting as the
+// NUMA balancer at a random mapped VPN, it places a mark in a random
+// lane (or none) or takes a hint fault there, and, acting as the scan,
+// it sometimes poisons every marked slot of one mark word. It draws
+// from rng only after the mutation has drawn its operands, so each
+// step's mutation is unchanged by it.
+func (p *lockstepPair) hintOp(rng *rand.Rand) {
+	p.checkHints()
+	if pfns := p.mappedPFNs(); len(pfns) > 0 {
+		v, _ := p.dense.VPNOf(pfns[rng.Intn(len(pfns))])
+		lane, fault := rng.Intn(lockstepLanes+1)-1, rng.Intn(2) == 0
+		if fault {
+			if d, e := p.dense.Unhint(v, lane), p.ext.Unhint(v, lane); d != e {
+				p.t.Fatalf("Unhint(%d): dense %v ext %v", v, d, e)
+			}
+		} else {
+			p.dense.PlaceMark(v, lane)
+			p.ext.PlaceMark(v, lane)
 		}
 	}
-}
-
-// translateRunOp is the read op riding after every mutation: a
-// TranslateRun at a random offset (past the end included), stride and
-// buffer length. It draws from rng only after the mutation has drawn
-// its operands, so each step's mutation is unchanged by it.
-func (p *lockstepPair) translateRunOp(rng *rand.Rand) {
-	if len(p.regions) == 0 {
-		return
-	}
-	i := rng.Intn(len(p.regions))
-	off := VPN(rng.Intn(int(p.regions[i].Pages) + 2))
-	p.checkRun(i, off, uint64(1+rng.Intn(4)), 1+rng.Intn(40))
-}
-
-// markOp is the scan-mark check riding after every mutation: both
-// tables must hold the same marks, before and after a MarkPFN on a
-// mapped, freed or never-allocated PFN and a MarkVPN anywhere in the
-// address span, guard gaps included. Then, acting as the scan, it
-// sometimes clears one mark word in both so later mutations have clear
-// marks to set. Like translateRunOp it draws only after the mutation.
-func (p *lockstepPair) markOp(rng *rand.Rand) {
-	p.checkMarks()
-	pfn := mem.PFN(rng.Intn(int(p.nextPFN) + 3))
-	p.dense.MarkPFN(pfn)
-	p.ext.MarkPFN(pfn)
-	v := VPN(rng.Intn(int(p.dense.nextVPN) + 1))
-	p.dense.MarkVPN(v)
-	p.ext.MarkVPN(v)
-	p.checkMarks()
 	if len(p.regions) > 0 && rng.Intn(2) == 0 {
 		i := rng.Intn(len(p.regions))
-		w := rng.Intn(len(p.dense.ScanMarks(i)))
-		p.dense.ScanMarks(i)[w] = 0
-		p.ext.ScanMarks(i)[w] = 0
+		marks := p.dense.ScanMarks(i)
+		w := uint64(rng.Intn(len(marks) / lockstepLanes))
+		var marked uint64
+		for _, m := range marks[w*lockstepLanes : (w+1)*lockstepLanes] {
+			marked |= m
+		}
+		p.dense.Poison(i, []MarkWord{{W: w, Slots: marked}})
+		p.ext.Poison(i, []MarkWord{{W: w, Slots: marked}})
 	}
+	p.checkHints()
 }
 
-// checkMarks compares every slot's scan mark across the two tables.
-func (p *lockstepPair) checkMarks() {
-	for i := range p.regions {
+// checkHints compares every region's hints and mark words across the
+// two tables, checks that no unmapped slot has a mark, and checks the
+// hinted-slot counts against the hinted mapped slots.
+func (p *lockstepPair) checkHints() {
+	nHinted := 0
+	for i, r := range p.regions {
 		md, me := p.dense.ScanMarks(i), p.ext.ScanMarks(i)
-		if len(md) != len(me) {
+		if len(md) != len(me) || uint64(len(md)) != (r.Pages+63)/64*lockstepLanes {
 			p.t.Fatalf("region %d: %d mark words dense, %d ext", i, len(md), len(me))
 		}
 		for w := range md {
@@ -222,6 +210,29 @@ func (p *lockstepPair) checkMarks() {
 				p.t.Fatalf("region %d mark word %d: dense %#x ext %#x", i, w, md[w], me[w])
 			}
 		}
+		for s := uint64(0); s < r.Pages; s++ {
+			v := r.Start + VPN(s)
+			_, hd, ok := p.dense.TranslateHinted(v)
+			if _, he, _ := p.ext.TranslateHinted(v); hd != he {
+				p.t.Fatalf("hint of VPN %d: dense %v ext %v", v, hd, he)
+			}
+			if hd {
+				nHinted++
+			}
+			if ok {
+				continue
+			}
+			var marked uint64
+			for l := uint64(0); l < lockstepLanes; l++ {
+				marked |= md[s/64*lockstepLanes+l]
+			}
+			if marked>>(s%64)&1 != 0 {
+				p.t.Fatalf("unmapped VPN %d keeps a scan mark", v)
+			}
+		}
+	}
+	if d, e := p.dense.HintedSlots(), p.ext.HintedSlots(); d != nHinted || e != nHinted {
+		p.t.Fatalf("HintedSlots: dense %d ext %d, want %d", d, e, nHinted)
 	}
 }
 
@@ -233,14 +244,13 @@ func (p *lockstepPair) mappedPFNs() []mem.PFN {
 	return pfns
 }
 
-// step applies one random operation, then a TranslateRun cross-check
-// and a scan-mark cross-check. The op mix leans on map/unmap so runs
-// form, diverge mid-run (lazy splits), and reconverge (re-merges);
-// region churn and eviction-state writes ride along.
+// step applies one random operation, then the hint and scan-mark op.
+// The op mix leans on map/unmap so runs form, diverge mid-run (lazy
+// splits), and reconverge (re-merges); region churn and eviction-state
+// writes ride along.
 func (p *lockstepPair) step(rng *rand.Rand) {
 	p.mutate(rng)
-	p.translateRunOp(rng)
-	p.markOp(rng)
+	p.hintOp(rng)
 }
 
 func (p *lockstepPair) mutate(rng *rand.Rand) {
@@ -402,19 +412,25 @@ func TestExtentHugeFrames(t *testing.T) {
 	if v, ok := as.VPNOf(8); !ok || v != r.Start+fp {
 		t.Fatalf("VPNOf(8) = %d,%v", v, ok)
 	}
-	// A frame-stride run reads one PFN per frame (the NUMA-balancing
-	// scan's huge-mode walk), from an aligned or a mid-frame offset, and
-	// stops at the partial tail frame.
+	// A frame-stride walk reads one PFN per frame (a frame slot), from
+	// an aligned or a mid-frame offset, and stops at the partial tail
+	// frame.
 	runs := func(off VPN, want ...mem.PFN) {
 		t.Helper()
-		out := make([]mem.PFN, 4)
-		n := as.TranslateRun(0, off, fp, out)
-		if n != len(want) {
-			t.Fatalf("TranslateRun(off %d, stride %d) = %d entries, want %d", off, fp, n, len(want))
+		var got []mem.PFN
+		for o := off; o < VPN(r.Pages); o += fp {
+			pfn, ok := as.Translate(r.Start + o)
+			if !ok {
+				pfn = mem.NilPFN
+			}
+			got = append(got, pfn)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("frame walk from offset %d = %v, want %v", off, got, want)
 		}
 		for k, w := range want {
-			if out[k] != w {
-				t.Fatalf("TranslateRun(off %d, stride %d)[%d] = %d, want %d", off, fp, k, out[k], w)
+			if got[k] != w {
+				t.Fatalf("frame walk from offset %d = %v, want %v", off, got, want)
 			}
 		}
 	}

@@ -20,25 +20,31 @@
 // against the previous map-based design, the simulator's core tick
 // (BenchmarkSimTick) runs ~2x faster with ~12x fewer allocated bytes.
 //
-// NUMA-balancing PTE poisoning is represented by the PGHinted flag on the
-// page itself rather than a shadow PTE bit: the simulator has exactly one
-// mapping per page, so the two are equivalent.
-//
-// Scan marks. Each region also carries one scan mark per frame slot (a
-// page on 4 KB tables, a 2 MB frame in huge mode), packed 64 to a word
-// in VA order, for the NUMA-balancing scan (package numab). MapPage and
-// MapRange set the mark of every slot they map, and MarkVPN and MarkPFN
-// set the mark of the slot holding a VPN or a mapped PFN; only the scan,
-// reading ScanMarks, clears them. Unmaps leave marks as they are: the
-// scan then reads mem.NilPFN at the slot and clears the stale mark. A
-// clear mark at a mapped slot thus means no page was mapped there and
-// no caller marked it since the scan last read it, which lets a warm
-// pass skip 64 settled slots per word without translating them. The
-// marks cost one bit per slot and are counted by Footprint.
+// NUMA hint state. The NUMA-balancing scan (package numab) poisons a
+// PTE by setting its frame slot's hint, as the kernel's change_prot_numa
+// makes a PTE PROT_NONE, and the next access through the slot takes a
+// hint fault. A frame slot is a page on 4 KB tables and a 2 MB frame in
+// huge mode. The dense table keeps the hint where the kernel does, in
+// the PTE: it is the top bit of the slot's PFN word (HintBit), so the
+// translation reads it for free. The extent table keeps one hint bit
+// per slot in a per-region bitmap beside its extent list, which stays
+// the same with or without hints. TranslateHinted and
+// TranslateBatchHinted hand the hint out with the PFN, on both kinds;
+// every other call hands out clean PFNs. Once TrackHints turns it on,
+// each region also carries scan marks in a number of lanes, one lane
+// per node the scan samples, packed 64 slots to a word in VA order. The owner of the lanes keeps
+// each slot's marks exact: a mapped, unhinted slot whose page sits on a
+// sampled node has that node's lane bit set, and no other slot has a
+// mark. So the scan finds its candidates with word operations and never
+// reads a translation or the page store. Every unmap clears the slot's
+// hint and marks, so an unmapped slot has neither. The bitmaps cost
+// lanes bits per slot (plus one on the extent table) and are counted
+// by Footprint; a table that never calls TrackHints has none.
 package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"tppsim/internal/mem"
@@ -90,9 +96,33 @@ type regionState struct {
 	// exts is the extent-mode representation (see extent.go): a sorted,
 	// disjoint run list replacing the dense arrays above, which stay nil.
 	exts []extent
-	// marks holds the region's scan marks, bit s%64 of word s/64 for
-	// frame slot s (VPNs Start+s<<frameShift onward).
+	// marks holds the scan mark of frame slot s (VPNs Start+s<<frameShift
+	// onward) in lane l as bit s%64 of word (s/64)*lanes+l; hints holds
+	// an extent table's hint bits as bit s%64 of word s/64. Both are nil
+	// unless hint tracking is on, and hints is always nil on the dense
+	// table, whose hints live in pfns.
 	marks []uint64
+	hints []uint64
+}
+
+// HintBit is a slot's NUMA hint in a translated word: the dense table
+// keeps it in the slot's PFN word, and TranslateBatchHinted hands it out
+// with the PFN on both table kinds. mem.NilPFN has it set too but means
+// unmapped, never hinted, so a reader tests for mem.NilPFN first.
+const HintBit mem.PFN = 1 << 31
+
+// PFNLimit bounds the PFNs the table maps: MapPage and MapRange refuse
+// any PFN from it on. So a mapped PFN never has HintBit set, and a
+// hinted word, the largest being PFNLimit-1|HintBit, never reads as
+// mem.NilPFN.
+const PFNLimit = HintBit - 1
+
+// splitPFN splits a translated word into its PFN and its hint.
+func splitPFN(w mem.PFN) (mem.PFN, bool) {
+	if w+1 > HintBit { // the hint bit set, and not mem.NilPFN
+		return w &^ HintBit, true
+	}
+	return w, false
 }
 
 // AddressSpace is one process's page table, including the reverse map
@@ -141,6 +171,13 @@ type AddressSpace struct {
 	framePages uint64 // 1 << frameShift
 	splits     uint64
 	merges     uint64
+
+	// hinting is set by TrackHints; lanes is the scan-mark lane count;
+	// nHinted counts the hinted slots, so that while there are none the
+	// access path reads no hint at all.
+	hinting bool
+	lanes   int
+	nHinted int
 }
 
 // indexBuckets sizes the coarse lookup table; 1024 four-byte entries keep
@@ -190,8 +227,14 @@ func (as *AddressSpace) Mmap(pages uint64, t mem.PageType) Region {
 		as.nextVPN = (as.nextVPN + fp - 1) &^ (fp - 1)
 	}
 	r := Region{Start: as.nextVPN, Pages: pages, Type: t}
-	slots := (pages + as.framePages - 1) >> as.frameShift
-	rs := regionState{Region: r, marks: make([]uint64, (slots+63)/64)}
+	rs := regionState{Region: r}
+	if as.hinting {
+		words := ((pages+as.framePages-1)>>as.frameShift + 63) / 64
+		rs.marks = make([]uint64, words*uint64(as.lanes))
+		if as.ext {
+			rs.hints = make([]uint64, words)
+		}
+	}
 	if !as.ext {
 		rs.pfns = make([]mem.PFN, pages)
 		rs.estate = make([]EvictKind, pages)
@@ -269,14 +312,18 @@ func (as *AddressSpace) Munmap(r Region) []mem.PFN {
 		as.rebuildIndex()
 		return pfns
 	}
-	for i, pfn := range rs.pfns {
-		if pfn != mem.NilPFN {
-			pfns = append(pfns, pfn)
-			as.rmap[pfn] = nilVPN
-			as.mapped--
-		} else if k := rs.estate[i]; k != EvictNone {
-			as.evictedByKind[k]--
+	for i, w := range rs.pfns {
+		if w == mem.NilPFN {
+			if k := rs.estate[i]; k != EvictNone {
+				as.evictedByKind[k]--
+			}
+			continue
 		}
+		as.nHinted -= int(w >> 31) // a mapped word's hint bit
+		pfn := w &^ HintBit
+		pfns = append(pfns, pfn)
+		as.rmap[pfn] = nilVPN
+		as.mapped--
 	}
 	as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
 	as.starts = append(as.starts[:idx], as.starts[idx+1:]...)
@@ -294,9 +341,10 @@ func (as *AddressSpace) growRmap(pfn mem.PFN) {
 	}
 }
 
-// MapPage installs a translation. It panics on double-map (which would
-// indicate a fault-handling bug) and on VPNs outside every region. Any
-// eviction record for the VPN is cleared: the page is resident again.
+// MapPage installs a translation, unhinted. It panics on double-map
+// (which would indicate a fault-handling bug), on VPNs outside every
+// region and on PFNs from PFNLimit on. Any eviction record for the VPN
+// is cleared: the page is resident again.
 func (as *AddressSpace) MapPage(v VPN, pfn mem.PFN) {
 	if as.ext {
 		as.MapRange(v, pfn, 1)
@@ -306,12 +354,14 @@ func (as *AddressSpace) MapPage(v VPN, pfn mem.PFN) {
 	if rs == nil {
 		panic(fmt.Sprintf("pagetable: map of VPN %d outside any region", v))
 	}
+	if pfn >= PFNLimit {
+		panic(fmt.Sprintf("pagetable: PFN %d reaches PFNLimit", pfn))
+	}
 	i := v - rs.Start
 	if rs.pfns[i] != mem.NilPFN {
 		panic(fmt.Sprintf("pagetable: double map of VPN %d", v))
 	}
 	rs.pfns[i] = pfn
-	rs.marks[i/64] |= 1 << (i % 64)
 	if k := rs.estate[i]; k != EvictNone {
 		as.evictedByKind[k]--
 		rs.estate[i] = EvictNone
@@ -321,28 +371,139 @@ func (as *AddressSpace) MapPage(v VPN, pfn mem.PFN) {
 	as.mapped++
 }
 
-// MarkPFN sets the scan mark of the slot pfn is mapped at, found through
-// the reverse map. An unmapped PFN has no slot, so it is a no-op.
-func (as *AddressSpace) MarkPFN(pfn mem.PFN) {
-	if int(pfn) < len(as.rmap) && as.rmap[pfn] != nilVPN {
-		as.MarkVPN(as.rmap[pfn])
+// TrackHints turns on NUMA hint state with the given number of
+// scan-mark lanes (see the package doc). It must be called before the
+// first Mmap, so every region carries the bitmaps.
+func (as *AddressSpace) TrackHints(lanes int) {
+	if as.nextVPN != 0 {
+		panic("pagetable: TrackHints after Mmap")
 	}
+	as.hinting, as.lanes = true, lanes
 }
 
-// MarkVPN sets the scan mark of the slot holding v. A VPN outside every
-// region has no slot, so it is a no-op.
-func (as *AddressSpace) MarkVPN(v VPN) {
-	if rs := as.regionOf(v); rs != nil {
-		s := uint64(v-rs.Start) >> as.frameShift
-		rs.marks[s/64] |= 1 << (s % 64)
-	}
-}
-
-// ScanMarks returns region i's scan-mark words: bit s%64 of word s/64
-// is the mark of frame slot s, the slot holding VPNs from
-// Start+s<<FrameShift. The caller, the NUMA-balancing scan, clears the
-// marks it has read through the returned slice.
+// ScanMarks returns region i's scan-mark words, lane l of the 64 slots
+// from 64*w at index w*lanes+l (nil without hint tracking). The scan
+// reads them in place and hands what it consumes to Poison.
 func (as *AddressSpace) ScanMarks(i int) []uint64 { return as.regions[i].marks }
+
+// slotOf returns the frame slot of v in rs.
+func (as *AddressSpace) slotOf(rs *regionState, v VPN) uint64 {
+	return uint64(v-rs.Start) >> as.frameShift
+}
+
+// hinted reports slot s's hint. On the dense table s is the page offset.
+func (as *AddressSpace) hinted(rs *regionState, s uint64) bool {
+	if as.ext {
+		return rs.hints[s/64]>>(s%64)&1 != 0
+	}
+	_, h := splitPFN(rs.pfns[s])
+	return h
+}
+
+// setMarks makes lane the only scan mark of slot s, or clears its marks
+// when lane is negative.
+func (as *AddressSpace) setMarks(rs *regionState, s uint64, lane int) {
+	bit := uint64(1) << (s % 64)
+	marks := rs.marks[s/64*uint64(as.lanes) : (s/64+1)*uint64(as.lanes)]
+	for l := range marks {
+		marks[l] &^= bit
+	}
+	if lane >= 0 {
+		marks[lane] |= bit
+	}
+}
+
+// clearHint clears the hint of slot s, which must be hinted.
+func (as *AddressSpace) clearHint(rs *regionState, s uint64) {
+	if as.ext {
+		rs.hints[s/64] &^= 1 << (s % 64)
+	} else {
+		rs.pfns[s] &^= HintBit
+	}
+	as.nHinted--
+}
+
+// clearSlot drops the hint and the scan marks of the slot holding v,
+// as an unmap must.
+func (as *AddressSpace) clearSlot(rs *regionState, v VPN) {
+	if !as.hinting {
+		return
+	}
+	s := as.slotOf(rs, v)
+	if as.nHinted > 0 && as.hinted(rs, s) {
+		as.clearHint(rs, s)
+	}
+	as.setMarks(rs, s, -1)
+}
+
+// HintedSlots returns the number of hinted frame slots.
+func (as *AddressSpace) HintedSlots() int { return as.nHinted }
+
+// PlaceMark makes lane the only scan mark of the slot holding v, or
+// clears its marks when lane is negative. A hinted slot is left as it
+// is: it is no scan candidate wherever its page sits. The NUMA balancer
+// calls it when a page is mapped or moves to another node.
+func (as *AddressSpace) PlaceMark(v VPN, lane int) {
+	if rs := as.regionOf(v); rs != nil {
+		if s := as.slotOf(rs, v); as.nHinted == 0 || !as.hinted(rs, s) {
+			as.setMarks(rs, s, lane)
+		}
+	}
+}
+
+// Unhint clears the hint of the slot holding v, as a hint fault
+// restoring the PTE does, and makes lane its only scan mark (none when
+// negative). It reports whether the slot was hinted; an unhinted slot
+// is left as it is.
+func (as *AddressSpace) Unhint(v VPN, lane int) bool {
+	if as.nHinted == 0 {
+		return false
+	}
+	rs := as.regionOf(v)
+	if rs == nil {
+		return false
+	}
+	s := as.slotOf(rs, v)
+	if !as.hinted(rs, s) {
+		return false
+	}
+	as.clearHint(rs, s)
+	as.setMarks(rs, s, lane)
+	return true
+}
+
+// MarkWord names the slots 64*W+k of a region for every bit k set in
+// Slots.
+type MarkWord struct{ W, Slots uint64 }
+
+// Poison hints the slots named by words in region i and clears their
+// scan marks: the NUMA-balancing scan's PTE poisoning of the candidates
+// it consumed. Every slot must be mapped and unhinted, as every
+// candidate is.
+func (as *AddressSpace) Poison(i int, words []MarkWord) {
+	rs := &as.regions[i]
+	// The PFN words are scattered, about one candidate to a mark word
+	// on a warm large machine; a tight loop of their writes alone keeps
+	// many of their cache misses in flight.
+	for _, mw := range words {
+		as.nHinted += bits.OnesCount64(mw.Slots)
+		if as.ext {
+			rs.hints[mw.W] |= mw.Slots
+			continue
+		}
+		pfns := rs.pfns[mw.W*64:]
+		for rest := mw.Slots; rest != 0; rest &= rest - 1 {
+			pfns[bits.TrailingZeros64(rest)] |= HintBit
+		}
+	}
+	lanes := uint64(as.lanes)
+	for _, mw := range words {
+		marks := rs.marks[mw.W*lanes : (mw.W+1)*lanes]
+		for l := range marks {
+			marks[l] &^= mw.Slots
+		}
+	}
+}
 
 // UnmapPage removes a translation, returning the PFN that was mapped.
 // In huge-frame extent mode the whole frame chunk containing v is
@@ -357,10 +518,11 @@ func (as *AddressSpace) UnmapPage(v VPN) (mem.PFN, bool) {
 		return mem.NilPFN, false
 	}
 	i := v - rs.Start
-	pfn := rs.pfns[i]
+	pfn, _ := splitPFN(rs.pfns[i])
 	if pfn == mem.NilPFN {
 		return mem.NilPFN, false
 	}
+	as.clearSlot(rs, v)
 	rs.pfns[i] = mem.NilPFN
 	as.rmap[pfn] = nilVPN
 	as.mapped--
@@ -393,6 +555,7 @@ func (as *AddressSpace) UnmapPFN(pfn mem.PFN, kind EvictKind) (VPN, bool) {
 	}
 	rs := as.regionOf(v)
 	i := v - rs.Start
+	as.clearSlot(rs, v)
 	rs.pfns[i] = mem.NilPFN
 	as.rmap[pfn] = nilVPN
 	as.mapped--
@@ -417,7 +580,7 @@ func (as *AddressSpace) Evicted(v VPN) EvictKind {
 		return EvictNone
 	}
 	if rs.pfns[v-rs.Start] != mem.NilPFN {
-		return EvictNone
+		return EvictNone // mapped, hinted or not
 	}
 	return rs.estate[v-rs.Start]
 }
@@ -439,18 +602,26 @@ func (as *AddressSpace) EvictedCount(kind EvictKind) int {
 // Translate returns the PFN mapped at the VPN, if any. This is the
 // simulator's /proc/$PID/pagemap.
 func (as *AddressSpace) Translate(v VPN) (mem.PFN, bool) {
+	pfn, _, ok := as.TranslateHinted(v)
+	return pfn, ok
+}
+
+// TranslateHinted is Translate that also reports, from the same lookup,
+// whether the slot holding v is hinted.
+func (as *AddressSpace) TranslateHinted(v VPN) (pfn mem.PFN, hinted, ok bool) {
 	rs := as.regionOf(v)
 	if rs == nil {
-		return mem.NilPFN, false
+		return mem.NilPFN, false, false
 	}
 	if as.ext {
 		if e := findExtent(rs.exts, v); e != nil && e.pfn != mem.NilPFN {
-			return e.pfn + mem.PFN((v-e.start)>>as.frameShift), true
+			hinted = as.nHinted > 0 && as.hinted(rs, as.slotOf(rs, v))
+			return e.pfn + mem.PFN((v-e.start)>>as.frameShift), hinted, true
 		}
-		return mem.NilPFN, false
+		return mem.NilPFN, false, false
 	}
-	pfn := rs.pfns[v-rs.Start]
-	return pfn, pfn != mem.NilPFN
+	pfn, hinted = splitPFN(rs.pfns[v-rs.Start])
+	return pfn, hinted, pfn != mem.NilPFN
 }
 
 // TranslateBatch resolves out[i] to the translation of vs[i] (mem.NilPFN
@@ -458,6 +629,22 @@ func (as *AddressSpace) Translate(v VPN) (mem.PFN, bool) {
 // with the region cache and index state held in locals for the whole
 // batch — the simulator's access loop resolves a full tick in one call.
 func (as *AddressSpace) TranslateBatch(vs []VPN, out []mem.PFN) {
+	as.TranslateBatchHinted(vs, out)
+	if as.nHinted == 0 {
+		return
+	}
+	for i, w := range out[:len(vs)] {
+		if pfn, h := splitPFN(w); h {
+			out[i] = pfn
+		}
+	}
+}
+
+// TranslateBatchHinted is TranslateBatch that leaves HintBit set in the
+// word of each access whose slot is hinted. The hint is a snapshot: a
+// hint fault taken by an earlier access of the batch clears the live
+// bit (TranslateHinted) but not the word.
+func (as *AddressSpace) TranslateBatchHinted(vs []VPN, out []mem.PFN) {
 	if as.ext {
 		as.translateBatchExtent(vs, out)
 		return
@@ -486,37 +673,6 @@ func (as *AddressSpace) TranslateBatch(vs []VPN, out []mem.PFN) {
 		}
 		out[i] = regions[idx].pfns[v-starts[idx]]
 	}
-}
-
-// TranslateRun fills out with the translations (mem.NilPFN when
-// unmapped) of region i at offsets off, off+stride, off+2*stride, ...,
-// stopping at the region end or when out is full, and returns the count
-// written. It is Translate per offset with the region resolved once:
-// a slice copy on the dense table, one extent search then a forward
-// walk on the extent table. The NUMA-balancing scan reads the table a
-// run at a time through it.
-func (as *AddressSpace) TranslateRun(i int, off VPN, stride uint64, out []mem.PFN) int {
-	rs := &as.regions[i]
-	if uint64(off) >= rs.Pages {
-		return 0
-	}
-	n := int((rs.Pages - uint64(off) + stride - 1) / stride)
-	if n > len(out) {
-		n = len(out)
-	}
-	out = out[:n]
-	if as.ext {
-		as.translateRunExtent(rs, rs.Start+off, VPN(stride), out)
-		return n
-	}
-	if stride == 1 {
-		copy(out, rs.pfns[off:])
-		return n
-	}
-	for k := range out {
-		out[k] = rs.pfns[off+VPN(uint64(k)*stride)]
-	}
-	return n
 }
 
 // Gen returns the translation-removal generation: it advances on every
@@ -587,8 +743,8 @@ func (as *AddressSpace) ForEachMapped(fn func(v VPN, pfn mem.PFN)) {
 		return
 	}
 	for _, rs := range as.regions {
-		for i, pfn := range rs.pfns {
-			if pfn != mem.NilPFN {
+		for i, w := range rs.pfns {
+			if pfn, _ := splitPFN(w); pfn != mem.NilPFN {
 				fn(rs.Start+VPN(i), pfn)
 			}
 		}

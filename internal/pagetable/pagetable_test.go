@@ -294,11 +294,15 @@ func TestMapUnmapProperty(t *testing.T) {
 	}
 }
 
-// TestScanMarks pins the scan-mark contract on every table shape: a map
-// sets the mark of each slot it maps, MarkPFN sets the mark of a mapped
-// PFN's slot and ignores unmapped and never-seen PFNs, MarkVPN sets the
-// mark of the slot holding any VPN of a region and ignores the rest,
-// unmaps leave marks set, and a region's marks die with it.
+// TestScanMarks pins the hint and scan-mark contract on every table
+// shape: TrackHints gives each region one word per lane for every 64
+// slots; a map sets nothing; PlaceMark makes one lane the slot's only
+// mark, or clears its marks, and leaves a hinted slot alone; Poison
+// hints slots and clears their marks; Unhint clears a hint and then
+// places the mark, and reports whether there was one; every unmap clears
+// the slot's hint and marks; the translations stay clean, and
+// TranslateHinted and the hinted batch translation report each access's
+// hint; and a region's marks die with it.
 func TestScanMarks(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -311,47 +315,154 @@ func TestScanMarks(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			as := tc.as
+			as.TrackHints(2)
 			fp := VPN(1) << tc.shift
-			// 130 slots: three mark words, the last holding two slots.
+			// 130 slots: three words per lane, the last holding two slots.
 			r := as.Mmap(130*uint64(fp), mem.Anon)
 			marks := as.ScanMarks(0)
-			if len(marks) != 3 {
-				t.Fatalf("%d mark words for 130 slots, want 3", len(marks))
+			if len(marks) != 6 {
+				t.Fatalf("%d mark words for 130 slots in 2 lanes, want 6", len(marks))
 			}
 			as.MapRange(r.Start, 10, uint64(fp))
 			as.MapRange(r.Start+65*fp, 11, uint64(fp))
 			as.MapRange(r.Start+129*fp, 12, uint64(fp))
-			if marks[0] != 1 || marks[1] != 2 || marks[2] != 2 {
-				t.Fatalf("marks after map = %#x, want [0x1 0x2 0x2]", marks)
+			want := func(hinted []VPN, wantMarks ...uint64) {
+				t.Helper()
+				for w := range marks {
+					if marks[w] != wantMarks[w] {
+						t.Fatalf("marks = %#x, want %#x", marks, wantMarks)
+					}
+				}
+				n := 0
+				for v := r.Start; v < r.End(); v++ {
+					if isHinted(as, v) {
+						n++
+					}
+				}
+				for _, v := range hinted {
+					for o := VPN(0); o < fp; o++ {
+						if !isHinted(as, v+o) {
+							t.Fatalf("VPN %d not hinted", v+o)
+						}
+					}
+				}
+				if n != len(hinted)*int(fp) || as.HintedSlots() != len(hinted) {
+					t.Fatalf("%d hinted VPNs in %d slots, want %d in %d", n, as.HintedSlots(), len(hinted)*int(fp), len(hinted))
+				}
 			}
-			for w := range marks {
-				marks[w] = 0 // read by the scan
+			want(nil, 0, 0, 0, 0, 0, 0)
+			as.PlaceMark(r.Start, 0)
+			as.PlaceMark(r.Start+65*fp+fp-1, 1) // last VPN of slot 65
+			as.PlaceMark(r.Start+129*fp, 1)
+			as.PlaceMark(r.End(), 0) // guard gap: no slot
+			want(nil, 1, 0, 0, 2, 0, 2)
+			as.PlaceMark(r.Start+129*fp, 0) // moves to lane 0
+			as.PlaceMark(r.Start, -1)       // clears
+			want(nil, 0, 0, 0, 2, 2, 0)
+			// The scan poisons slot 65 and clears its mark; a hinted
+			// slot keeps no mark wherever its page moves.
+			as.Poison(0, []MarkWord{{W: 1, Slots: 2}})
+			as.PlaceMark(r.Start+65*fp, 0)
+			want([]VPN{r.Start + 65*fp}, 0, 0, 0, 0, 2, 0)
+			if pfn, ok := as.Translate(r.Start + 65*fp); !ok || pfn != 11 {
+				t.Fatalf("hinted slot translates to %d,%v, want 11", pfn, ok)
 			}
-			as.MarkPFN(11)
-			as.MarkPFN(13)      // never mapped, inside the rmap
-			as.MarkPFN(1 << 20) // past the rmap
-			if marks[0] != 0 || marks[1] != 2 || marks[2] != 0 {
-				t.Fatalf("marks after MarkPFN = %#x, want [0 0x2 0]", marks)
+			if pfn, h, ok := as.TranslateHinted(r.Start + 65*fp + fp - 1); !ok || !h || pfn != 11 {
+				t.Fatalf("TranslateHinted = %d,%v,%v, want 11,true,true", pfn, h, ok)
 			}
-			as.MarkVPN(r.Start + 128*fp + fp - 1) // last VPN of slot 128
-			as.MarkVPN(r.End())                   // guard gap
-			if marks[2] != 1 {
-				t.Fatalf("mark word 2 after MarkVPN = %#x, want 0x1", marks[2])
+			if v, ok := as.VPNOf(11); !ok || v != r.Start+65*fp {
+				t.Fatalf("VPNOf(11) = %d,%v", v, ok)
 			}
+			vs := []VPN{r.Start + 65*fp, r.Start, r.Start + 65*fp + fp - 1, r.End(), r.Start + 64*fp}
+			pfns := make([]mem.PFN, len(vs))
+			as.TranslateBatch(vs, pfns)
+			if pfns[0] != 11 || pfns[1] != 10 || pfns[2] != 11 || pfns[3] != mem.NilPFN || pfns[4] != mem.NilPFN {
+				t.Fatalf("batch PFNs = %v, want [11 10 11 nil nil]", pfns)
+			}
+			as.TranslateBatchHinted(vs, pfns)
+			if pfns[0] != 11|HintBit || pfns[1] != 10 || pfns[2] != 11|HintBit || pfns[3] != mem.NilPFN || pfns[4] != mem.NilPFN {
+				t.Fatalf("hinted batch words = %#x, want [11|HintBit 10 11|HintBit nil nil]", pfns)
+			}
+			// A hint fault clears the hint, then marks the slot's lane;
+			// a second one finds no hint and changes nothing.
+			if !as.Unhint(r.Start+65*fp, 1) || as.Unhint(r.Start+65*fp, 0) {
+				t.Fatal("Unhint does not report the hint it cleared")
+			}
+			want(nil, 0, 0, 0, 2, 2, 0)
+			// Unmaps clear the hint and the marks.
+			as.Poison(0, []MarkWord{{W: 1, Slots: 2}})
 			as.UnmapPFN(11, EvictSwap)
-			as.MarkPFN(11) // unmapped now: no slot
-			if marks[1] != 2 {
-				t.Fatalf("unmap changed the mark word to %#x", marks[1])
+			if pfn, ok := as.UnmapPage(r.Start + 129*fp); !ok || pfn != 12 {
+				t.Fatalf("UnmapPage = %d,%v, want 12", pfn, ok)
 			}
-			as.Munmap(r)
+			want(nil, 0, 0, 0, 0, 0, 0)
+			as.Poison(0, []MarkWord{{W: 0, Slots: 1}})
+			if got := as.Munmap(r); len(got) != 1 || got[0] != 10 || as.HintedSlots() != 0 {
+				t.Fatalf("Munmap = %v leaving %d hinted slots, want [10] and 0", got, as.HintedSlots())
+			}
 			r = as.Mmap(uint64(fp), mem.File)
-			if got := as.ScanMarks(0); len(got) != 1 || got[0] != 0 {
-				t.Fatalf("fresh region marks = %#x, want [0]", got)
-			}
 			as.MapRange(r.Start, 10, uint64(fp))
-			if got := as.ScanMarks(0)[0]; got != 1 {
-				t.Fatalf("fresh region mark after map = %#x, want 0x1", got)
+			if m := as.ScanMarks(0); len(m) != 2 || m[0]|m[1] != 0 || isHinted(as, r.Start) {
+				t.Fatalf("fresh region marks = %#x, hinted %v, want [0 0], false", m, isHinted(as, r.Start))
 			}
+		})
+	}
+	as := New(1)
+	r := as.Mmap(8, mem.Anon)
+	as.MapPage(r.Start, 1)
+	if as.ScanMarks(0) != nil || isHinted(as, r.Start) || as.Unhint(r.Start, 0) {
+		t.Fatal("a table without hint tracking carries hint state")
+	}
+	out := make([]mem.PFN, 1)
+	if as.TranslateBatchHinted([]VPN{r.Start}, out); out[0] != 1 {
+		t.Fatalf("untracked hinted batch word = %#x, want 1", out[0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TrackHints after Mmap did not panic")
+		}
+	}()
+	as.TrackHints(1)
+}
+
+// isHinted reports the hint of the slot holding v.
+func isHinted(as *AddressSpace, v VPN) bool {
+	_, h, _ := as.TranslateHinted(v)
+	return h
+}
+
+// TestPFNLimit pins the bound that keeps a hinted word apart from
+// mem.NilPFN: both table kinds refuse PFNs from PFNLimit on, and the
+// largest PFN they map, hinted, still splits into itself and a hint.
+func TestPFNLimit(t *testing.T) {
+	if w := (PFNLimit - 1) | HintBit; w == mem.NilPFN {
+		t.Fatalf("the largest hinted word is mem.NilPFN")
+	}
+	if pfn, h := splitPFN((PFNLimit - 1) | HintBit); pfn != PFNLimit-1 || !h {
+		t.Fatalf("splitPFN(largest hinted word) = %d,%v, want %d,true", pfn, h, PFNLimit-1)
+	}
+	if pfn, h := splitPFN(mem.NilPFN); pfn != mem.NilPFN || h {
+		t.Fatalf("splitPFN(mem.NilPFN) = %d,%v, want nil,false", pfn, h)
+	}
+	for _, tc := range []struct {
+		name string
+		as   *AddressSpace
+		pfn  mem.PFN
+	}{
+		{"dense", New(1), PFNLimit},
+		{"dense top bit", New(1), HintBit},
+		{"extent", NewExtent(1, 0), PFNLimit},
+		// The first frame is below the bound, the second reaches it.
+		{"huge", NewExtent(1, mem.HugeFrameShift), PFNLimit - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.as.Mmap(2*mem.HugeFramePages, mem.Anon)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("mapping PFN %d did not panic", tc.pfn)
+				}
+			}()
+			tc.as.MapRange(r.Start, tc.pfn, r.Pages)
 		})
 	}
 }

@@ -9,10 +9,10 @@
 //
 //   - a stage phase: the batch is cut into contiguous shards, one per
 //     worker; each worker translates its shard into its disjoint range
-//     of the shared PFN buffer (TranslateBatch reads the region index
-//     and PFN tables without mutating them) and sums page flags
-//     into private scratch to pull each access's page line toward the
-//     cache. Shard scratch merges at the barrier in fixed shard order —
+//     of the shared PFN buffer (TranslateBatchHinted reads the region
+//     index, PFN tables and hint bits without mutating them) and sums
+//     page flags into private scratch to pull each access's page line
+//     toward the cache. Shard scratch merges at the barrier in fixed shard order —
 //     and since the only cross-shard accumulator is an integer sum,
 //     the merged value is the serial value exactly;
 //   - a commit phase: the unchanged fused charge loop walks the PFN
@@ -146,11 +146,11 @@ func (p *stagePool) stage(vs []pagetable.VPN, pfns []mem.PFN) bool {
 		wg.Add(1)
 		go func(sh *stageShard, vs []pagetable.VPN, pfns []mem.PFN) {
 			defer wg.Done()
-			as.TranslateBatch(vs, pfns)
+			as.TranslateBatchHinted(vs, pfns)
 			var warm uint64
-			for _, pfn := range pfns {
-				if pfn != mem.NilPFN {
-					warm += uint64(store.Page(pfn).Flags)
+			for _, w := range pfns {
+				if w != mem.NilPFN {
+					warm += uint64(store.Page(w &^ pagetable.HintBit).Flags)
 				}
 			}
 			sh.warm = warm

@@ -22,6 +22,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"tppsim/internal/alloc"
 	"tppsim/internal/autotiering"
@@ -167,6 +168,40 @@ type Config struct {
 	Faults fault.Schedule
 }
 
+// validate rejects negative run-length and rate fields and non-finite
+// scales, which no run can use: a negative Minutes would never end, a
+// negative AccessesPerTick or SampleBudget panics, and a negative
+// AccessScale charges negative latency. Zero means "default" for every
+// field checked; Workers is not checked, since negative means auto.
+func (c Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Minutes", c.Minutes},
+		{"AccessesPerTick", c.AccessesPerTick},
+		{"RecordEveryTicks", c.RecordEveryTicks},
+		{"SampleEveryTicks", c.SampleEveryTicks},
+		{"SampleBudget", c.SampleBudget},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("sim: %s is %d; want a count >= 0 (0 means the default)", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"AccessScale", c.AccessScale},
+		{"Slack", c.Slack},
+	} {
+		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: %s is %v; want a finite value >= 0 (0 means the default)", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.Minutes == 0 {
 		c.Minutes = 60
@@ -213,7 +248,9 @@ type Machine struct {
 	// interface dispatch per access.
 	batch     workload.BatchAccessor
 	accessBuf []pagetable.VPN
-	pfnBuf    []mem.PFN
+	// pfnBuf receives the batch's translated words, with
+	// pagetable.HintBit set for a hinted slot.
+	pfnBuf []mem.PFN
 	// par shards the batch's stage phase across workers when
 	// Config.Workers > 1 (nil = serial; see parallel.go).
 	par *stagePool
@@ -250,9 +287,6 @@ type Machine struct {
 	cpuNodes   []mem.NodeID
 	regionHome map[pagetable.VPN]mem.NodeID
 	mmapCount  int
-	// numabOn caches whether NUMA balancing is enabled so the access path
-	// only calls into the balancer on actual hint faults (PGHinted set).
-	numabOn bool
 
 	// Previous cumulative promote/demote counts, for the per-tick deltas
 	// fold needs. Plain integers: non-record ticks allocate nothing.
@@ -288,13 +322,13 @@ type Machine struct {
 	// Tracker plane (Config.Tracker / the sampled policy): nil when off,
 	// so tracker-free runs pay one nil check per access and per tick.
 	trkPlane *tracker.Plane
-	// numabTrk is the balancer seen through the tracker.Tracker
-	// interface; the daemon phase drives the scan clock through it.
-	numabTrk tracker.Tracker
 }
 
 // New assembles a machine from the config.
 func New(cfg Config) (*Machine, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Workload == nil {
 		return nil, fmt.Errorf("sim: no workload")
@@ -346,6 +380,18 @@ func New(cfg Config) (*Machine, error) {
 		frameShift = mem.HugeFrameShift
 	}
 	framePages := uint64(1) << frameShift
+	// The store numbers frames from PFN 0, and the page table maps PFNs
+	// below PFNLimit only.
+	if frames := (topo.TotalCapacity() + framePages - 1) >> frameShift; frames >= uint64(pagetable.PFNLimit) {
+		field := "Topology"
+		if len(cfg.Topology.Nodes) == 0 {
+			field = "LocalPages+CXLPages"
+			if cfg.LocalPages == 0 {
+				field = "Workload" // sized by Ratio from its TotalPages
+			}
+		}
+		return nil, fmt.Errorf("sim: %s gives the machine %d frames; it must have fewer than %d", field, frames, pagetable.PFNLimit)
+	}
 	m := &Machine{
 		cfg:        cfg,
 		topo:       topo,
@@ -401,12 +447,6 @@ func New(cfg Config) (*Machine, error) {
 		nb.ScanSizePages = int(cfg.Workload.TotalPages() / 32)
 	}
 	m.balancer = numab.New(nb, m.store, topo, m.vecs, m.stat, m.engine, m.as)
-	m.numabOn = nb.Enabled
-	// The balancer's hint-fault sampling is one tracker among several:
-	// the daemon phase drives its scan clock through the Tracker
-	// interface (identical calls, so numab-driven runs stay
-	// bit-identical to pre-interface builds).
-	m.numabTrk = m.balancer.Tracker()
 
 	if p.TMO != nil {
 		m.tmoctl = tmo.New(*p.TMO, topo, m.daemon, m.swapd)
@@ -557,15 +597,15 @@ func (m *Machine) access(v pagetable.VPN) {
 	if m.failed {
 		return
 	}
-	var event float64
-	pfn, ok := m.as.Translate(v)
-	if !ok {
-		pfn, event = m.fault(v)
-		if m.failed {
-			return
-		}
+	pfn, hinted, ok := m.as.TranslateHinted(v)
+	if ok {
+		m.finishAccess(v, pfn, hinted, 0)
+		return
 	}
-	m.finishAccess(v, pfn, event)
+	pfn, event := m.fault(v)
+	if !m.failed {
+		m.finishAccess(v, pfn, false, event) // a page just mapped is unhinted
+	}
 }
 
 // fault demand-faults v in, returning the new PFN and the per-page event
@@ -601,6 +641,7 @@ func (m *Machine) fault(v pagetable.VPN) (mem.PFN, float64) {
 			span = m.framePages
 		}
 		m.as.MapRange(base, pfn, span)
+		m.balancer.Mapped(base, res.Node)
 		m.stat.Inc(res.Node, vmstat.ThpFaultAlloc)
 		m.cur.AllocPages += m.framePages
 		if m.topo.Node(res.Node).Kind == mem.KindLocal {
@@ -608,6 +649,7 @@ func (m *Machine) fault(v pagetable.VPN) (mem.PFN, float64) {
 		}
 	} else {
 		m.as.MapPage(v, pfn)
+		m.balancer.Mapped(v, res.Node)
 		m.cur.AllocPages++
 		if m.topo.Node(res.Node).Kind == mem.KindLocal {
 			m.cur.AllocLocal++
@@ -646,6 +688,12 @@ func (m *Machine) fault(v pagetable.VPN) (mem.PFN, float64) {
 // not resident at batch start (including ones faulted by an earlier
 // access of this same tick) take the full fault-aware access path.
 //
+// Each translated word also snapshots its slot's hint (HintBit). Only
+// the daemon phase's scan sets hints, so an access whose word has no
+// hint needs no balancer call; an access whose word has one asks the
+// balancer, which checks the live bit, so a slot accessed twice in the
+// batch faults once.
+//
 // With Config.Workers > 1 the translate+warm front half is sharded
 // across the stage pool — pure reads into the same PFN buffer — and the
 // charge loop below runs unchanged, so parallel runs are bit-identical
@@ -653,11 +701,11 @@ func (m *Machine) fault(v pagetable.VPN) (mem.PFN, float64) {
 func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 	pfns := m.pfnBuf[:len(vs)]
 	if m.par == nil || !m.par.stage(vs, pfns) {
-		m.as.TranslateBatch(vs, pfns)
+		m.as.TranslateBatchHinted(vs, pfns)
 		warm := m.warmSink
-		for _, pfn := range pfns {
-			if pfn != mem.NilPFN {
-				warm += uint64(m.store.Page(pfn).Flags)
+		for _, w := range pfns {
+			if w != mem.NilPFN {
+				warm += uint64(m.store.Page(w &^ pagetable.HintBit).Flags)
 			}
 		}
 		m.warmSink = warm
@@ -668,8 +716,7 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 	// rare, so the compiler can keep these in registers. Integer access
 	// counters accumulate locally (exact under reassociation, unlike the
 	// float latency sum, which keeps its per-access order).
-	store, latMat, nodeLocal := m.store, m.latMat, m.nodeLocal
-	nn, numabOn := m.nNodes, m.numabOn
+	store, latMat, nodeLocal, nn := m.store, m.latMat, m.nodeLocal, m.nNodes
 	latAcc := m.latAcc
 	trk := m.trkPlane
 	var accesses, local uint64
@@ -690,15 +737,17 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 			}
 			break
 		}
-		pfn := pfns[i]
-		if pfn == mem.NilPFN {
+		w := pfns[i]
+		if w == mem.NilPFN {
 			m.access(v)
 			if m.failed {
 				break
 			}
 			continue
 		}
-		// Fused finishAccess(v, pfn, 0) — keep the two in sync.
+		pfn := w &^ pagetable.HintBit
+		// Fused finishAccess(v, pfn, w != pfn, 0) — keep the two in
+		// sync.
 		pg := store.Page(pfn)
 		load := latMat[int(pg.Home)*nn+int(pg.Node)]
 		servedLocal := nodeLocal[pg.Node]
@@ -706,7 +755,7 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 			latAcc[pg.Node].Observe(uint64(load))
 		}
 		var event float64
-		if numabOn && pg.Flags.Has(mem.PGHinted) {
+		if w != pfn {
 			out := m.balancer.OnAccess(v, pfn, pg)
 			event = out.LatencyNs
 		}
@@ -738,9 +787,10 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 	m.prof.Lap(probe.PhaseCharge)
 }
 
-// finishAccess charges one access against the resident page pfn; event
-// carries any fault cost already incurred for this access.
-func (m *Machine) finishAccess(v pagetable.VPN, pfn mem.PFN, event float64) {
+// finishAccess charges one access against the resident page pfn; hinted
+// is the live hint of v's slot, read right before, and event carries any
+// fault cost already incurred for this access.
+func (m *Machine) finishAccess(v pagetable.VPN, pfn mem.PFN, hinted bool, event float64) {
 	pg := m.store.Page(pfn)
 	load := m.latMat[int(pg.Home)*m.nNodes+int(pg.Node)]
 	servedLocal := m.nodeLocal[pg.Node]
@@ -749,10 +799,10 @@ func (m *Machine) finishAccess(v pagetable.VPN, pfn mem.PFN, event float64) {
 	}
 
 	// NUMA-balancing hint fault and possible promotion: per-page event
-	// costs, paid once per hint regardless of access rate. The PGHinted
-	// pre-check keeps the (overwhelmingly common) non-fault case out of
-	// the balancer entirely.
-	if m.numabOn && pg.Flags.Has(mem.PGHinted) {
+	// costs, paid once per hint regardless of access rate. The hint
+	// check keeps the (overwhelmingly common) non-fault case out of the
+	// balancer entirely.
+	if hinted {
 		out := m.balancer.OnAccess(v, pfn, pg)
 		event += out.LatencyNs
 	}
@@ -856,7 +906,7 @@ func (m *Machine) Step() {
 	// driving it: demotions under reclaim, promotions under numab.
 	m.daemon.Tick()
 	prof.Lap(probe.PhaseReclaim)
-	m.numabTrk.Tick(m.tick, nil)
+	m.balancer.Tick()
 	prof.Lap(probe.PhaseNUMAB)
 	if m.atier != nil {
 		m.atier.Tick()

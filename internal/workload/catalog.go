@@ -252,26 +252,31 @@ func Ads(variant int, total uint64) *Profile {
 	}
 }
 
-// Catalog maps workload names to constructors, for the CLI tools. Every
-// value builds a fresh Workload per call; entries are either the paper's
-// Profile workloads below or trace-backed scenarios registered by other
-// packages (internal/trace adds its generated scenarios via Register).
-var Catalog = map[string]func(total uint64) Workload{
-	"Web1":      profileEntry(Web1),
-	"Web2":      profileEntry(Web2),
-	"Cache1":    profileEntry(Cache1),
-	"Cache2":    profileEntry(Cache2),
-	"Warehouse": profileEntry(Warehouse),
-	"Ads1":      profileEntry(func(t uint64) *Profile { return Ads(1, t) }),
-	"Ads2":      profileEntry(func(t uint64) *Profile { return Ads(2, t) }),
-	"Ads3":      profileEntry(func(t uint64) *Profile { return Ads(3, t) }),
+// Profiles maps the paper's workload names to their Profile
+// constructors. Catalog holds every one of them too.
+var Profiles = map[string]func(total uint64) *Profile{
+	"Web1":      Web1,
+	"Web2":      Web2,
+	"Cache1":    Cache1,
+	"Cache2":    Cache2,
+	"Warehouse": Warehouse,
+	"Ads1":      func(t uint64) *Profile { return Ads(1, t) },
+	"Ads2":      func(t uint64) *Profile { return Ads(2, t) },
+	"Ads3":      func(t uint64) *Profile { return Ads(3, t) },
 }
 
-// profileEntry adapts a Profile constructor to the catalog's Workload
-// signature.
-func profileEntry(ctor func(total uint64) *Profile) func(total uint64) Workload {
-	return func(total uint64) Workload { return ctor(total) }
-}
+// Catalog maps workload names to constructors, for the CLI tools. Every
+// value builds a fresh Workload per call; entries are either the paper's
+// Profile workloads (Profiles) or trace-backed scenarios registered by
+// other packages (internal/trace adds its generated scenarios via
+// Register).
+var Catalog = func() map[string]func(total uint64) Workload {
+	c := make(map[string]func(total uint64) Workload, len(Profiles))
+	for name, ctor := range Profiles {
+		c[name] = func(total uint64) Workload { return ctor(total) }
+	}
+	return c
+}()
 
 // Register adds (or replaces) a catalog entry. Packages providing
 // non-Profile workloads — trace replays, generated scenarios — use it to

@@ -352,3 +352,55 @@ func TestValidateRejectsEmptyStaticRegions(t *testing.T) {
 		t.Errorf("zero-page churn region rejected: %v", err)
 	}
 }
+
+// TestNextAccessBatchMatchesNextAccess holds the batched draw to the
+// scalar one it fuses: recorded runs draw through NextAccess and plain
+// runs through NextAccessBatch, so the two must produce the same stream.
+// Two copies of every catalog Profile, at two sizes, step through the
+// same ticks (warm-up, growth, churn); at each drawing tick one copy
+// draws a batch of 997 and the other 997 scalar draws, stopping at the
+// first miss, and the VPNs and the stop points must match.
+func TestNextAccessBatchMatchesNextAccess(t *testing.T) {
+	const batch = 997
+	every := uint64(1)
+	if testing.Short() {
+		every = 7
+	}
+	for _, name := range Names() {
+		for _, pages := range []uint64{4 << 10, 32 << 10} {
+			bw, ok := Catalog[name](pages).(*Profile)
+			if !ok {
+				continue
+			}
+			sw := Catalog[name](pages).(*Profile)
+			bctx := &drawCtx{as: pagetable.New(1), rng: xrand.New(1)}
+			sctx := &drawCtx{as: pagetable.New(1), rng: xrand.New(1)}
+			bw.Start(bctx)
+			sw.Start(sctx)
+			buf := make([]pagetable.VPN, batch)
+			for tick := uint64(0); tick < bw.WarmupTicks()+120; tick++ {
+				bw.Tick(bctx, tick)
+				sw.Tick(sctx, tick)
+				if tick%every != 0 {
+					continue
+				}
+				n := bw.NextAccessBatch(bctx, tick, buf)
+				for i := 0; i < batch; i++ {
+					v, ok := sw.NextAccess(sctx, tick)
+					if !ok {
+						if i != n {
+							t.Fatalf("%s/%d tick %d: scalar draws stop at %d, the batch at %d", name, pages, tick, i, n)
+						}
+						break
+					}
+					if i >= n {
+						t.Fatalf("%s/%d tick %d: the batch stops at %d, scalar draw %d succeeds", name, pages, tick, n, i)
+					}
+					if v != buf[i] {
+						t.Fatalf("%s/%d tick %d draw %d: batch VPN %d, scalar %d", name, pages, tick, i, buf[i], v)
+					}
+				}
+			}
+		}
+	}
+}
