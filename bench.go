@@ -57,41 +57,14 @@ func SimTickBenchTrackedConfig() MachineConfig {
 	return cfg
 }
 
-// SimTickBenchLargeConfig is the parallel core's reference machine: a
-// 2M-page working set (the page store and translation tables outgrow
-// any CPU cache, so every access is a memory miss) with a full-socket
-// access stream. It runs serial (Workers unset); cmd/bench records it
-// as the large-machine baseline the parallel run must beat.
-func SimTickBenchLargeConfig() MachineConfig {
-	return MachineConfig{
-		Seed:            1,
-		Policy:          TPP(),
-		Workload:        Workloads["Cache1"](2 << 20),
-		Ratio:           [2]uint64{2, 1},
-		Minutes:         1 << 30,
-		AccessesPerTick: 8192,
-	}
-}
-
-// SimTickBenchParallelConfig is SimTickBenchLargeConfig with the sim
-// core's stage phase sharded across all CPUs (Workers=GOMAXPROCS).
-// Results are bit-identical to the serial run by the parallel core's
-// contract; only wall-clock changes. cmd/bench -check requires it to
-// beat the serial large-machine run on machines with ≥ 4 CPUs.
-func SimTickBenchParallelConfig() MachineConfig {
-	cfg := SimTickBenchLargeConfig()
-	cfg.Workers = WorkersAuto
-	return cfg
-}
-
 // SimTickBenchHugeConfig is the terabyte-scale machine: ~1.15 TB of
 // memory (302M base pages across local + CXL) in 2 MB huge frames over
 // the extent-compressed page table. The workload sequentially prefaults
 // a 192 GB anon heap during warm-up — frames fault in order, so the
 // table collapses toward a handful of extents — then drives a uniform
-// access stream over it. cmd/bench records its per-tick cost next to
-// the dense large-machine run and gates its simulator footprint at
-// SimTickHugeBytesPerPageMax bytes per simulated resident page.
+// access stream over it. cmd/bench records its per-tick cost and gates
+// its simulator footprint at SimTickHugeBytesPerPageMax bytes per
+// simulated resident page.
 func SimTickBenchHugeConfig() MachineConfig {
 	return MachineConfig{
 		Seed:            1,

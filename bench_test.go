@@ -84,27 +84,9 @@ func BenchmarkSimTickTracked(b *testing.B) {
 	benchSimTick(b, SimTickBenchTrackedConfig())
 }
 
-// BenchmarkSimTickLarge is the parallel core's serial baseline: a
-// 2M-page machine with a full-socket access stream, where translation
-// and page-line warming miss the cache on every access. cmd/bench
-// records it as the large-machine reference.
-func BenchmarkSimTickLarge(b *testing.B) {
-	benchSimTick(b, SimTickBenchLargeConfig())
-}
-
-// BenchmarkSimTickParallel is the same large machine with the stage
-// phase sharded across all CPUs (Workers=GOMAXPROCS). Results are
-// bit-identical to BenchmarkSimTickLarge by the parallel core's
-// contract; cmd/bench -check requires the parallel run to beat the
-// serial one on ≥ 4 CPUs.
-func BenchmarkSimTickParallel(b *testing.B) {
-	benchSimTick(b, SimTickBenchParallelConfig())
-}
-
 // BenchmarkSimTickHuge is the terabyte-scale machine: ~1.15 TB of
 // capacity in 2 MB huge frames over the extent-compressed page table,
 // with a fully prefaulted 192 GB heap (SimTickBenchHugeConfig).
-// Per-tick cost should stay in the same range as BenchmarkSimTickLarge;
 // cmd/bench additionally gates the simulator's bytes per simulated
 // resident page (reported here as the bytes/page metric).
 func BenchmarkSimTickHuge(b *testing.B) {

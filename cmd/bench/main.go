@@ -9,11 +9,7 @@
 //	go run ./cmd/bench            # writes ./BENCH_simtick.json
 //	go run ./cmd/bench -o out.json
 //
-// The artifact records the runner's CPU count and the *resolved* worker
-// count each field ran with. The parallel field resolves WorkersAuto to
-// GOMAXPROCS, so under 4 usable CPUs the run is (nearly) serial and its
-// ns/op says nothing about sharding: parallel_ns_per_op is then written
-// as null, not applicable.
+// The artifact records the runner's CPU count next to the results.
 //
 // With -check it instead compares fresh measurements against the
 // committed baseline and exits non-zero when:
@@ -32,13 +28,7 @@
 //   - the terabyte-scale huge-page run (BenchmarkSimTickHuge) spends
 //     more than tppsim.SimTickHugeBytesPerPageMax simulator bytes per
 //     simulated resident page — the extent table's footprint contract,
-//     hardware-independent like the alloc gates;
-//   - on machines with ≥ 4 CPUs, the parallel large-machine run
-//     (Workers=GOMAXPROCS, BenchmarkSimTickParallel) fails to beat the
-//     serial large-machine run's ns/op — the parallel sim core must
-//     pay for itself where it claims to (results are bit-identical
-//     either way, so only wall-clock is at stake). Under 4 CPUs the
-//     gate is skipped (and says so): there is nothing to shard onto.
+//     hardware-independent like the alloc gates.
 //
 // The three overhead gates compare paired rounds, not one run of each
 // side: one plain and one feature machine are built and warmed once,
@@ -177,21 +167,10 @@ func main() {
 	nsProbed := nsOf(resProbed)
 	resTracked := bench(tppsim.SimTickBenchTrackedConfig())
 	nsTracked := nsOf(resTracked)
-	resLarge := bench(tppsim.SimTickBenchLargeConfig())
-	nsLarge := nsOf(resLarge)
-	resParallel := bench(tppsim.SimTickBenchParallelConfig())
-	nsParallel := nsOf(resParallel)
 	resHuge := bench(tppsim.SimTickBenchHugeConfig())
 	nsHuge := nsOf(resHuge)
 	hugeStats := lastMachine.MemStats()
-
-	// The resolved worker counts each field actually ran with (the
-	// parallel config's WorkersAuto resolves per host), plus the host's
-	// CPU count — without these the parallel field is uninterpretable on
-	// small runners.
 	cpus := runtime.NumCPU()
-	parallelWorkers := tppsim.ResolveWorkers(tppsim.SimTickBenchParallelConfig().Workers)
-	largeWorkers := tppsim.ResolveWorkers(tppsim.SimTickBenchLargeConfig().Workers)
 
 	if *check {
 		raw, err := os.ReadFile(*baseline)
@@ -301,38 +280,12 @@ func main() {
 				hugeStats.BytesPerPage, tppsim.SimTickHugeBytesPerPageMax)
 			failed = true
 		}
-		parallelRatio := nsParallel / nsLarge
-		fmt.Printf("SimTickParallel: %.0f ns/op vs serial large %.0f ns/op (%+.1f%%) with %d workers on %d CPUs\n",
-			nsParallel, nsLarge, 100*(parallelRatio-1), parallelWorkers, cpus)
-		if runtime.GOMAXPROCS(0) >= 4 {
-			if parallelRatio >= 1 {
-				// Re-measure the pair once before failing, same noise logic.
-				off, on := bench(tppsim.SimTickBenchLargeConfig()), bench(tppsim.SimTickBenchParallelConfig())
-				if r := nsOf(on) / nsOf(off); r < parallelRatio {
-					parallelRatio = r
-				}
-			}
-			if parallelRatio >= 1 {
-				fmt.Fprintf(os.Stderr, "bench: parallel sim core (%+.1f%%) does not beat the serial large-machine run on %d CPUs\n",
-					100*(parallelRatio-1), runtime.GOMAXPROCS(0))
-				failed = true
-			}
-		} else {
-			fmt.Printf("SimTickParallel gate skipped: %d usable CPUs < 4, the parallel run resolved to %d worker(s) — nothing to shard onto\n",
-				runtime.GOMAXPROCS(0), parallelWorkers)
-		}
 		if failed {
 			os.Exit(1)
 		}
 		return
 	}
 
-	// Under 4 usable CPUs the parallel run has nothing to shard onto, so
-	// its ns/op is recorded as not applicable.
-	var parallelNs any = nsParallel
-	if runtime.GOMAXPROCS(0) < 4 {
-		parallelNs = nil
-	}
 	report := map[string]any{
 		"benchmark":             "SimTick",
 		"iterations":            res.N,
@@ -345,10 +298,6 @@ func main() {
 		"probed_allocs_per_op":  resProbed.AllocsPerOp(),
 		"tracked_ns_per_op":     nsTracked,
 		"tracked_allocs_per_op": resTracked.AllocsPerOp(),
-		"large_ns_per_op":       nsLarge,
-		"large_workers":         largeWorkers,
-		"parallel_ns_per_op":    parallelNs,
-		"parallel_workers":      parallelWorkers,
 		"huge_ns_per_op":        nsHuge,
 		"huge_allocs_per_op":    resHuge.AllocsPerOp(),
 		"huge_bytes_per_page":   hugeStats.BytesPerPage,
@@ -370,9 +319,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("SimTick: %.0f ns/op, %d B/op, %d allocs/op (%d iterations); sampled %.0f ns/op, %d allocs/op; probed %.0f ns/op, %d allocs/op; tracked %.0f ns/op, %d allocs/op; large %.0f ns/op, parallel %.0f ns/op (%d workers, %d CPUs); huge %.0f ns/op at %.3f bytes/page -> %s\n",
+	fmt.Printf("SimTick: %.0f ns/op, %d B/op, %d allocs/op (%d iterations); sampled %.0f ns/op, %d allocs/op; probed %.0f ns/op, %d allocs/op; tracked %.0f ns/op, %d allocs/op; huge %.0f ns/op at %.3f bytes/page -> %s\n",
 		nsPerOp, res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N,
 		nsSampled, resSampled.AllocsPerOp(), nsProbed, resProbed.AllocsPerOp(),
-		nsTracked, resTracked.AllocsPerOp(),
-		nsLarge, nsParallel, parallelWorkers, cpus, nsHuge, hugeStats.BytesPerPage, *out)
+		nsTracked, resTracked.AllocsPerOp(), nsHuge, hugeStats.BytesPerPage, *out)
 }

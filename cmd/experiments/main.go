@@ -1,6 +1,7 @@
 // Command experiments regenerates the paper's tables and figures.
-// Multiple experiments run concurrently on a bounded worker pool; output
-// order is deterministic (registry order) regardless of scheduling.
+// Multiple experiments run concurrently, -workers at a time (default: all
+// CPUs); output order is deterministic (registry order) regardless of
+// scheduling.
 //
 //	experiments -list
 //	experiments -run Table1
@@ -13,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"tppsim/internal/experiments"
@@ -28,7 +28,7 @@ func main() {
 		minutes = flag.Int("minutes", 0, "simulated minutes (default 60)")
 		seed    = flag.Uint64("seed", 0, "random seed (default 1)")
 		csv     = flag.Bool("csv", false, "print figure series as CSV")
-		workers = flag.Int("workers", 0, "CPU budget split between concurrent machines and each machine's sim-core workers (default: all CPUs)")
+		workers = flag.Int("workers", 0, "number of experiments run at once (default: all CPUs)")
 		cpuProf = flag.String("cpuprofile", "", "write a Go CPU profile to FILE")
 		memProf = flag.String("memprofile", "", "write a Go heap profile to FILE at exit")
 	)
@@ -74,27 +74,7 @@ func main() {
 		specs = []experiments.Spec{s}
 	}
 
-	// -workers is a CPU budget, not just a pool size: machine-level
-	// parallelism takes as much of it as there are experiments to run
-	// concurrently, and whatever is left over (the single-experiment
-	// case, or a budget above the spec count) goes to each machine's
-	// sim-core workers. Results are bit-identical either way — the
-	// split only decides where the CPUs are spent, never oversubscribing
-	// machines × sim workers beyond the budget.
-	budget := *workers
-	if budget <= 0 {
-		budget = runtime.NumCPU()
-	}
-	machineWorkers := budget
-	if machineWorkers > len(specs) {
-		machineWorkers = len(specs)
-	}
-	if machineWorkers < 1 {
-		machineWorkers = 1
-	}
-	o.SimWorkers = budget / machineWorkers
-
-	for _, res := range experiments.RunAll(specs, o, machineWorkers) {
+	for _, res := range experiments.RunAll(specs, o, *workers) {
 		fmt.Println(res.Table.String())
 		if *csv {
 			for _, name := range sortedSeries(res) {

@@ -102,7 +102,6 @@ func main() {
 		minutes  = flag.Int("minutes", 60, "simulated minutes")
 		pages    = flag.Uint64("pages", workload.DefaultTotalPages, "working-set size in 4KB pages")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		workers  = flag.Int("workers", 1, "sim-core workers sharding the access stage (1 = serial, 0 = all CPUs; results are bit-identical for any count)")
 		hugeFl   = flag.Bool("hugepages", false, "back the machine with 2MB huge pages over the extent-compressed page table (the terabyte-scale configuration)")
 		memStats = flag.Bool("mem-stats", false, "report the simulator's own memory footprint: extent count, split/merge totals, bytes per simulated resident page")
 		vmstatFl = flag.Bool("vmstat", false, "dump /proc/vmstat-style counters (per node on multi-node machines)")
@@ -292,18 +291,10 @@ func main() {
 		}
 	}
 
-	// The flag speaks the issue-facing convention (0 = all CPUs); the
-	// Config zero value means serial, so auto maps to WorkersAuto.
-	cfgWorkers := *workers
-	if cfgWorkers == 0 {
-		cfgWorkers = sim.WorkersAuto
-	}
-
 	for _, p := range policies {
 		cfg := sim.Config{
 			Seed:             *seed,
 			Policy:           p,
-			Workers:          cfgWorkers,
 			HugePages:        *hugeFl,
 			Minutes:          *minutes,
 			RecordTo:         *recordTo,

@@ -32,13 +32,6 @@ type Options struct {
 	Minutes int
 	// Seed is the base random seed (default 1).
 	Seed uint64
-	// SimWorkers shards each machine's access-stage phase across this
-	// many goroutines (sim.Config.Workers; 0 keeps the serial default).
-	// Results are bit-identical for any value — the artifacts never
-	// depend on it — so cmd/experiments splits its CPU budget between
-	// machine-level parallelism (RunAll's pool) and this knob without
-	// changing what it regenerates.
-	SimWorkers int
 }
 
 func (o Options) withDefaults() Options {
@@ -216,7 +209,6 @@ func run(o Options, policy core.Policy, wlName string, ratio [2]uint64, cfgMut .
 		Workload: workload.Catalog[wlName](o.Pages),
 		Ratio:    ratio,
 		Minutes:  o.Minutes,
-		Workers:  o.SimWorkers,
 	}
 	for _, mut := range cfgMut {
 		mut(&cfg)

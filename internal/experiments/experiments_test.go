@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"tppsim/internal/core"
+	"tppsim/internal/report"
 )
 
 func TestRegistryIDsUnique(t *testing.T) {
@@ -128,5 +133,50 @@ func TestOptionsValidate(t *testing.T) {
 		if err := c.o.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%+v: Validate() = %v, want an error containing %q", c.o, err, c.want)
 		}
+	}
+}
+
+// TestRunAll checks the concurrent runner on a few small machines: one
+// worker and three return identical results in spec order (the first
+// spec runs longest, so with three workers it finishes last), and a spec
+// that panics re-panics out of RunAll with its ID. It runs under -short
+// so the race detector covers the runner.
+func TestRunAll(t *testing.T) {
+	machine := func(id, wl string, minutes int) Spec {
+		return Spec{ID: id, Run: func(o Options) Result {
+			o.Minutes = minutes
+			m, r := run(o, core.TPP(), wl, [2]uint64{2, 1})
+			tb := &report.Table{Title: id}
+			tb.AddRow(fmt.Sprint(r.NormalizedThroughput), fmt.Sprint(r.AvgLatencyNs), fmt.Sprint(m.Stat().Snapshot()))
+			return Result{ID: id, Table: tb}
+		}}
+	}
+	specs := []Spec{
+		machine("a", "Cache1", 4),
+		machine("b", "Web1", 3),
+		machine("c", "Cache2", 2),
+		machine("d", "Warehouse", 1),
+	}
+	o := Options{Pages: 2048, Seed: 3}
+	serial, pooled := RunAll(specs, o, 1), RunAll(specs, o, 3)
+	for i, s := range specs {
+		if serial[i].ID != s.ID || pooled[i].ID != s.ID {
+			t.Errorf("result %d: IDs %q (1 worker) and %q (3 workers), want %q", i, serial[i].ID, pooled[i].ID, s.ID)
+		}
+	}
+	if !reflect.DeepEqual(serial, pooled) {
+		t.Error("RunAll results differ between 1 and 3 workers")
+	}
+
+	boom := Spec{ID: "boom", Run: func(Options) Result { panic("bad spec") }}
+	for _, workers := range []int{1, 3} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "experiment boom: bad spec") {
+					t.Errorf("workers=%d: RunAll panicked with %q, want one naming experiment boom", workers, msg)
+				}
+			}()
+			RunAll([]Spec{specs[3], boom, specs[2]}, o, workers)
+		}()
 	}
 }

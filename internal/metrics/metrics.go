@@ -172,11 +172,6 @@ func Percentile(xs []float64, p float64) float64 {
 type Run struct {
 	Policy   string
 	Workload string
-	// Workers is the resolved sim-core worker count the run executed
-	// with (1 = serial). Informational only: the parallel core's
-	// determinism contract makes every other field bit-identical across
-	// worker counts.
-	Workers int
 
 	// Per-tick series; X is simulated minutes.
 	LocalTraffic   Series // fraction of accesses served locally (Fig. 14)

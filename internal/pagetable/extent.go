@@ -447,8 +447,7 @@ func (as *AddressSpace) translateBatchExtent(vs []VPN, out []mem.PFN) {
 	}
 	// The hints come from the regions' bitmaps in a second pass, so the
 	// loop above stays as lean as on a table without hints. rs caches
-	// the last region; the lookup only reads, as concurrent stage shards
-	// require.
+	// the last region.
 	var rs *regionState
 	for i, v := range vs {
 		if out[i] == mem.NilPFN {

@@ -19,8 +19,8 @@ const (
 	// PhaseTranslate is the batch virtual→physical translation pass
 	// (including first-touch faults it triggers).
 	PhaseTranslate
-	// PhaseCharge is the fused charge/warm loop over the translated
-	// batch: latency accounting, LRU warming, NUMA hint checks.
+	// PhaseCharge is the charge loop over the translated batch:
+	// latency accounting, LRU aging, NUMA hint checks.
 	PhaseCharge
 	// PhaseReclaim is the background reclaim daemon's tick, including
 	// the demotions it drives.

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"tppsim/internal/core"
+	"tppsim/internal/mem"
 	"tppsim/internal/pagetable"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
 )
@@ -58,5 +60,50 @@ func TestBatchMatchesSequentialUnderPressure(t *testing.T) {
 	if ra.NormalizedThroughput != rb.NormalizedThroughput || ra.AvgLocalTraffic != rb.AvgLocalTraffic {
 		t.Fatalf("scalar divergence: batch %v/%v sequential %v/%v",
 			ra.NormalizedThroughput, ra.AvgLocalTraffic, rb.NormalizedThroughput, rb.AvgLocalTraffic)
+	}
+}
+
+// BenchmarkCharge measures the charge loop alone, per access, on
+// steady-small's machine (8K-page Cache1 under TPP on a 2:1 CXL box,
+// 2000 accesses per tick) stepped 600 ticks, past Cache1's fill phase.
+// One tick's batch is drawn and translated once, then charged every
+// iteration: migration keeps PFNs and charging resident pages unmaps
+// nothing, so the words stay valid. The benchmark fails if the batch
+// holds an unmapped page or a charge unmaps one.
+func BenchmarkCharge(b *testing.B) {
+	m, err := New(Config{
+		Seed: 1, Policy: core.TPP(),
+		Workload:        workload.Catalog["Cache1"](8 << 10),
+		Topology:        tier.PresetCXL(2, 1),
+		AccessesPerTick: 2000,
+		Minutes:         1 << 30,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		m.Step()
+	}
+	if failed, why := m.Failed(); failed {
+		b.Fatalf("machine failed during warm-up: %s", why)
+	}
+	vs := m.accessBuf[:m.batch.NextAccessBatch(m, m.tick, m.accessBuf)]
+	ws := m.pfnBuf[:len(vs)]
+	m.as.TranslateBatchHinted(vs, ws)
+	for _, w := range ws {
+		if w == mem.NilPFN {
+			b.Fatal("the batch holds an unmapped page")
+		}
+	}
+	gen := m.as.Gen()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.charge(vs, ws)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vs)), "ns/access")
+	if m.as.Gen() != gen {
+		b.Fatal("charging the batch unmapped a page")
 	}
 }

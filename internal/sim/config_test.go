@@ -13,9 +13,11 @@ import (
 )
 
 // TestNewRejectsBadRunFields checks that New names the field of a
-// negative run length or rate, or of a negative or non-finite scale,
-// instead of building a machine that never ends, panics or charges
-// negative latency, and that zero and a negative Workers stay valid.
+// negative run length or rate, of a negative or non-finite scale, or of
+// a negative, non-finite or out-of-range per-node latency, instead of
+// building a machine that never ends, panics, charges negative or
+// infinite latency or drops the entry, and that zero entries and the
+// Fig. 16 latency override stay valid.
 func TestNewRejectsBadRunFields(t *testing.T) {
 	base := func() Config {
 		return Config{Seed: 1, Policy: core.TPP(), Workload: workload.Catalog["Cache1"](2048), Minutes: 1}
@@ -34,6 +36,10 @@ func TestNewRejectsBadRunFields(t *testing.T) {
 		{"AccessScale", func(c *Config) { c.AccessScale = math.Inf(1) }},
 		{"Slack", func(c *Config) { c.Slack = -0.1 }},
 		{"Slack", func(c *Config) { c.Slack = math.Inf(-1) }},
+		{"NodeLatencyNs[1]", func(c *Config) { c.Ratio, c.NodeLatencyNs = [2]uint64{1, 4}, []float64{0, math.Inf(1)} }},
+		{"NodeLatencyNs[0]", func(c *Config) { c.NodeLatencyNs = []float64{-100} }},
+		{"NodeLatencyNs[1]", func(c *Config) { c.NodeLatencyNs = []float64{0, math.NaN()} }},
+		{"NodeLatencyNs[2]", func(c *Config) { c.NodeLatencyNs = []float64{0, 300, 400} }},
 	} {
 		cfg := base()
 		c.mut(&cfg)
@@ -42,8 +48,8 @@ func TestNewRejectsBadRunFields(t *testing.T) {
 		}
 	}
 	for name, mut := range map[string]func(*Config){
-		"zero defaults": func(*Config) {},
-		"auto workers":  func(c *Config) { c.Workers = WorkersAuto },
+		"zero defaults":   func(*Config) {},
+		"Fig. 16 latency": func(c *Config) { c.NodeLatencyNs = []float64{0, 300} },
 	} {
 		cfg := base()
 		mut(&cfg)

@@ -112,35 +112,30 @@ func TestHugeSmoke(t *testing.T) {
 }
 
 // TestHugeDeterministic pins huge mode into the determinism contract:
-// the same config reproduces identical counters, and the parallel stage
-// phase (Config.Workers) leaves a huge run bit-identical too.
+// the same config reproduces identical counters, scalars and MemStats.
 func TestHugeDeterministic(t *testing.T) {
-	runOne := func(workers int) (*metrics.Run, vmstat.Snapshot) {
-		cfg := hugeTestConfig()
-		cfg.Workers = workers
-		m, err := New(cfg)
+	runOne := func() (*metrics.Run, vmstat.Snapshot) {
+		m, err := New(hugeTestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		run := m.Run()
 		if run.Failed {
-			t.Fatalf("huge run (workers=%d) failed: %s", workers, run.FailReason)
+			t.Fatalf("huge run failed: %s", run.FailReason)
 		}
 		return run, m.stat.Snapshot()
 	}
-	baseRun, baseSnap := runOne(0)
-	for _, workers := range []int{1, 3} {
-		run, snap := runOne(workers)
-		if snap != baseSnap {
-			t.Errorf("workers=%d: vmstat diverged from serial run", workers)
-		}
-		if run.AvgLatencyNs != baseRun.AvgLatencyNs ||
-			run.NormalizedThroughput != baseRun.NormalizedThroughput ||
-			run.AvgLocalTraffic != baseRun.AvgLocalTraffic {
-			t.Errorf("workers=%d: scalars diverged from serial run", workers)
-		}
-		if run.MemStats != baseRun.MemStats {
-			t.Errorf("workers=%d: MemStats diverged from serial run", workers)
-		}
+	baseRun, baseSnap := runOne()
+	run, snap := runOne()
+	if snap != baseSnap {
+		t.Error("vmstat diverged between two runs of one config")
+	}
+	if run.AvgLatencyNs != baseRun.AvgLatencyNs ||
+		run.NormalizedThroughput != baseRun.NormalizedThroughput ||
+		run.AvgLocalTraffic != baseRun.AvgLocalTraffic {
+		t.Error("scalars diverged between two runs of one config")
+	}
+	if run.MemStats != baseRun.MemStats {
+		t.Error("MemStats diverged between two runs of one config")
 	}
 }

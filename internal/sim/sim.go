@@ -92,15 +92,6 @@ type Config struct {
 	// access represents (default 100). Per-page event costs (faults,
 	// migrations, stalls) are amortized over the real rate.
 	AccessScale float64
-	// Workers shards each tick's access-batch stage phase (page-table
-	// translation + page-line warming) across worker goroutines; all
-	// state mutation stays serial, so results are bit-identical for any
-	// value — same seed, same scalars, vmstat, series, histograms, and
-	// trace bytes (see parallel.go). 0 (the zero value) and 1 run
-	// today's exact serial path; N > 1 uses N workers; WorkersAuto (-1)
-	// uses GOMAXPROCS. Sharding pays off on large machines whose page
-	// store outgrows the cache; small machines should stay serial.
-	Workers int
 
 	// HugePages backs the machine with 2 MB huge pages over an
 	// extent-compressed page table: aligned 512-page frames allocate,
@@ -169,10 +160,11 @@ type Config struct {
 }
 
 // validate rejects negative run-length and rate fields and non-finite
-// scales, which no run can use: a negative Minutes would never end, a
-// negative AccessesPerTick or SampleBudget panics, and a negative
-// AccessScale charges negative latency. Zero means "default" for every
-// field checked; Workers is not checked, since negative means auto.
+// scales and latencies, which no run can use: a negative Minutes would
+// never end, a negative AccessesPerTick or SampleBudget panics, and a
+// negative AccessScale or an infinite NodeLatencyNs entry charges
+// negative or infinite latency. Zero means "default" for every field
+// checked.
 func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -197,6 +189,11 @@ func (c Config) validate() error {
 	} {
 		if f.v < 0 || math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("sim: %s is %v; want a finite value >= 0 (0 means the default)", f.name, f.v)
+		}
+	}
+	for i, ns := range c.NodeLatencyNs {
+		if ns < 0 || math.IsNaN(ns) || math.IsInf(ns, 0) {
+			return fmt.Errorf("sim: NodeLatencyNs[%d] is %v; want a finite latency >= 0 ns (0 keeps the node's default)", i, ns)
 		}
 	}
 	return nil
@@ -251,9 +248,6 @@ type Machine struct {
 	// pfnBuf receives the batch's translated words, with
 	// pagetable.HintBit set for a hinted slot.
 	pfnBuf []mem.PFN
-	// par shards the batch's stage phase across workers when
-	// Config.Workers > 1 (nil = serial; see parallel.go).
-	par *stagePool
 	// warmSink keeps the translate pass's page-line touches observable so
 	// the compiler cannot delete them; the loads are the point (they pull
 	// each access's page line toward the cache ahead of the heavy pass).
@@ -362,8 +356,11 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n := len(cfg.NodeLatencyNs); n > topo.NumNodes() {
+		return nil, fmt.Errorf("sim: NodeLatencyNs[%d] is past the machine's %d nodes", n-1, topo.NumNodes())
+	}
 	for i, ns := range cfg.NodeLatencyNs {
-		if ns > 0 && i < topo.NumNodes() {
+		if ns > 0 {
 			topo.SetLatency(mem.NodeID(i), ns)
 		}
 	}
@@ -529,18 +526,11 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 	}
-	workers := resolveWorkers(cfg.Workers)
-	m.run = &metrics.Run{Policy: p.Name, Workload: cfg.Workload.Name(), Workers: workers}
+	m.run = &metrics.Run{Policy: p.Name, Workload: cfg.Workload.Name()}
 	if ba, ok := m.wl.(workload.BatchAccessor); ok {
 		m.batch = ba
 		m.accessBuf = make([]pagetable.VPN, cfg.AccessesPerTick)
 		m.pfnBuf = make([]mem.PFN, cfg.AccessesPerTick)
-		// The stage pool only helps the batched path: the per-access
-		// fallback path interleaves draw and charge, leaving nothing
-		// side-effect-free to shard.
-		if workers > 1 {
-			m.par = newStagePool(m, workers)
-		}
 	}
 	m.wl.Start(m)
 	return m, nil
@@ -591,21 +581,12 @@ func (m *Machine) RNG() *xrand.RNG { return m.wlRNG }
 
 // --- core loop ------------------------------------------------------------
 
-// access performs one memory access at v, charging latency and updating
-// every interested subsystem.
+// access performs one memory access at v, demand-faulting if needed:
+// charge translates it as a one-element batch with an unresolved word.
 func (m *Machine) access(v pagetable.VPN) {
-	if m.failed {
-		return
-	}
-	pfn, hinted, ok := m.as.TranslateHinted(v)
-	if ok {
-		m.finishAccess(v, pfn, hinted, 0)
-		return
-	}
-	pfn, event := m.fault(v)
-	if !m.failed {
-		m.finishAccess(v, pfn, false, event) // a page just mapped is unhinted
-	}
+	vs := [1]pagetable.VPN{v}
+	ws := [1]mem.PFN{mem.NilPFN}
+	m.charge(vs[:], ws[:])
 }
 
 // fault demand-faults v in, returning the new PFN and the per-page event
@@ -682,82 +663,75 @@ func (m *Machine) fault(v pagetable.VPN) (mem.PFN, float64) {
 
 // runAccessBatch charges one tick's access stream: translations resolve
 // in one batched pagetable call, resident page lines are pulled toward
-// the cache in a dedicated loop (independent loads overlap their misses),
-// and the charge loop is finishAccess fused inline — identical arithmetic
-// and update order per access, minus the per-access call frames. Pages
-// not resident at batch start (including ones faulted by an earlier
-// access of this same tick) take the full fault-aware access path.
-//
-// Each translated word also snapshots its slot's hint (HintBit). Only
-// the daemon phase's scan sets hints, so an access whose word has no
-// hint needs no balancer call; an access whose word has one asks the
-// balancer, which checks the live bit, so a slot accessed twice in the
-// batch faults once.
-//
-// With Config.Workers > 1 the translate+warm front half is sharded
-// across the stage pool — pure reads into the same PFN buffer — and the
-// charge loop below runs unchanged, so parallel runs are bit-identical
-// to serial ones (parallel.go).
+// the cache in a dedicated loop (independent loads overlap their
+// misses), and charge walks the words.
 func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
-	pfns := m.pfnBuf[:len(vs)]
-	if m.par == nil || !m.par.stage(vs, pfns) {
-		m.as.TranslateBatchHinted(vs, pfns)
-		warm := m.warmSink
-		for _, w := range pfns {
-			if w != mem.NilPFN {
-				warm += uint64(m.store.Page(w &^ pagetable.HintBit).Flags)
-			}
+	ws := m.pfnBuf[:len(vs)]
+	m.as.TranslateBatchHinted(vs, ws)
+	warm := m.warmSink
+	for _, w := range ws {
+		if w != mem.NilPFN {
+			warm += uint64(m.store.Page(w &^ pagetable.HintBit).Flags)
 		}
-		m.warmSink = warm
 	}
+	m.warmSink = warm
 	m.prof.Lap(probe.PhaseTranslate)
+	m.charge(vs, ws)
+	m.prof.Lap(probe.PhaseCharge)
+}
+
+// charge performs the accesses vs in order, charging each its resident
+// node's load latency and updating every interested subsystem. ws holds
+// each access's translated word, with pagetable.HintBit set for a hinted
+// slot; a mem.NilPFN word is translated again here and demand-faulted in
+// if still unmapped (an earlier access of the batch may have mapped it).
+//
+// The words are valid only while no page is unmapped. A fault can
+// trigger direct reclaim, which evicts (unmaps) pages whose words are
+// already in ws; the address-space generation counter detects that, and
+// every later word is translated again, so a batch charges exactly as
+// its accesses would one at a time. Migration keeps PFNs, so a promotion
+// leaves the words valid. Only the daemon phase's scan sets hints, so an
+// access whose word has no hint needs no balancer call; one whose word
+// has a hint asks the balancer, which checks the live bit, so a slot
+// accessed twice in the batch faults once.
+func (m *Machine) charge(vs []pagetable.VPN, ws []mem.PFN) {
 	const lruHot = mem.PGOnLRU | mem.PGReferenced | mem.PGActive
-	// Loop-invariant machine state in locals: calls inside the loop are
-	// rare, so the compiler can keep these in registers. Integer access
-	// counters accumulate locally (exact under reassociation, unlike the
-	// float latency sum, which keeps its per-access order).
-	store, latMat, nodeLocal, nn := m.store, m.latMat, m.nodeLocal, m.nNodes
-	latAcc := m.latAcc
-	trk := m.trkPlane
+	// Integer access counters accumulate in locals (exact under
+	// reassociation, unlike the float latency sum, which keeps its
+	// per-access order). Machine fields are read in place: a local
+	// copy would be spilled on entry, which Touch pays per access.
 	var accesses, local uint64
-	// Batched translations are valid only while no page is unmapped. A
-	// fault below can trigger direct reclaim, which evicts (unmaps)
-	// pages whose PFNs are already in pfnBuf; the address-space
-	// generation counter detects that, and the rest of the batch falls
-	// back to the re-translating path — exactly the sequential
-	// semantics.
 	gen := m.as.Gen()
 	for i, v := range vs {
-		if m.as.Gen() != gen {
-			for _, rest := range vs[i:] {
-				m.access(rest)
-				if m.failed {
-					break
-				}
-			}
-			break
-		}
-		w := pfns[i]
-		if w == mem.NilPFN {
-			m.access(v)
+		w := ws[i]
+		var event float64
+		if w == mem.NilPFN || m.as.Gen() != gen {
 			if m.failed {
 				break
 			}
-			continue
+			pfn, hinted, ok := m.as.TranslateHinted(v)
+			if !ok {
+				pfn, event = m.fault(v) // a page just mapped is unhinted
+				if m.failed {
+					break
+				}
+			} else if hinted {
+				pfn |= pagetable.HintBit
+			}
+			w = pfn
 		}
 		pfn := w &^ pagetable.HintBit
-		// Fused finishAccess(v, pfn, w != pfn, 0) — keep the two in
-		// sync.
-		pg := store.Page(pfn)
-		load := latMat[int(pg.Home)*nn+int(pg.Node)]
-		servedLocal := nodeLocal[pg.Node]
-		if latAcc != nil {
-			latAcc[pg.Node].Observe(uint64(load))
+		pg := m.store.Page(pfn)
+		load := m.latMat[int(pg.Home)*m.nNodes+int(pg.Node)]
+		servedLocal := m.nodeLocal[pg.Node]
+		if m.latAcc != nil {
+			m.latAcc[pg.Node].Observe(uint64(load))
 		}
-		var event float64
+		// NUMA-balancing hint fault and possible promotion: per-page
+		// event costs, paid once per hint regardless of access rate.
 		if w != pfn {
-			out := m.balancer.OnAccess(v, pfn, pg)
-			event = out.LatencyNs
+			event += m.balancer.OnAccess(v, pfn, pg).LatencyNs
 		}
 		// mark_page_accessed fast path: a page already active and
 		// referenced on its LRU list is a no-op in MarkAccessedPage.
@@ -770,8 +744,8 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 		if m.cham != nil {
 			m.cham.OnAccess(v)
 		}
-		if trk != nil {
-			trk.OnAccess(pfn, pg)
+		if m.trkPlane != nil {
+			m.trkPlane.OnAccess(pfn, pg)
 		}
 		accesses++
 		if servedLocal {
@@ -784,49 +758,6 @@ func (m *Machine) runAccessBatch(vs []pagetable.VPN) {
 	}
 	m.cur.Accesses += accesses
 	m.cur.LocalAccesses += local
-	m.prof.Lap(probe.PhaseCharge)
-}
-
-// finishAccess charges one access against the resident page pfn; hinted
-// is the live hint of v's slot, read right before, and event carries any
-// fault cost already incurred for this access.
-func (m *Machine) finishAccess(v pagetable.VPN, pfn mem.PFN, hinted bool, event float64) {
-	pg := m.store.Page(pfn)
-	load := m.latMat[int(pg.Home)*m.nNodes+int(pg.Node)]
-	servedLocal := m.nodeLocal[pg.Node]
-	if m.latAcc != nil {
-		m.latAcc[pg.Node].Observe(uint64(load))
-	}
-
-	// NUMA-balancing hint fault and possible promotion: per-page event
-	// costs, paid once per hint regardless of access rate. The hint
-	// check keeps the (overwhelmingly common) non-fault case out of the
-	// balancer entirely.
-	if hinted {
-		out := m.balancer.OnAccess(v, pfn, pg)
-		event += out.LatencyNs
-	}
-
-	// LRU aging and AutoTiering frequency counting.
-	m.vecs[pg.Node].MarkAccessedPage(pfn, pg)
-	if m.atier != nil {
-		m.atier.RecordAccess(pfn)
-	}
-	if m.cham != nil {
-		m.cham.OnAccess(v)
-	}
-	if m.trkPlane != nil {
-		m.trkPlane.OnAccess(pfn, pg)
-	}
-
-	m.cur.Accesses++
-	if servedLocal {
-		m.cur.LocalAccesses++
-	}
-	m.cur.LatencySumNs += load
-	if event != 0 {
-		m.cur.EventNs += event
-	}
 }
 
 // dirtyHook marks freshly faulted file pages dirty according to the

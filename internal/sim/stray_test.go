@@ -37,14 +37,15 @@ func (w *strayWorkload) NextAccess(_ workload.Ctx, tick uint64) (pagetable.VPN, 
 // TestAccessOutsideRegionsFailsRun checks that an access outside every
 // region ends the run as failed with a reason instead of panicking, for
 // a VPN in the guard gap after a region and one far past the mapped
-// span.
+// span, and that the failed machine then charges and faults in nothing.
 func TestAccessOutsideRegionsFailsRun(t *testing.T) {
 	for name, stray := range map[string]func(pagetable.Region) pagetable.VPN{
 		"guard gap":   func(r pagetable.Region) pagetable.VPN { return r.End() + 1 },
 		"beyond span": func(r pagetable.Region) pagetable.VPN { return r.End() << 20 },
 	} {
 		t.Run(name, func(t *testing.T) {
-			m, err := New(Config{Seed: 1, Policy: core.TPP(), Workload: &strayWorkload{stray: stray}, Minutes: 1})
+			w := &strayWorkload{stray: stray}
+			m, err := New(Config{Seed: 1, Policy: core.TPP(), Workload: w, Minutes: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,6 +58,12 @@ func TestAccessOutsideRegionsFailsRun(t *testing.T) {
 			}
 			if m.Tick() != 4 {
 				t.Fatalf("run stopped after %d ticks, want 4 (failed during tick 3)", m.Tick())
+			}
+			cur, stat := m.cur, m.Stat().Snapshot()
+			m.Touch(w.r.Start)      // resident since tick 0
+			m.Touch(w.r.Start + 10) // never mapped
+			if m.cur != cur || m.Stat().Snapshot() != stat {
+				t.Fatal("Touch on a failed machine charged an access or faulted a page in")
 			}
 		})
 	}

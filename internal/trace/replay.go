@@ -204,7 +204,7 @@ func (r *Replayer) NextAccess(ctx workload.Ctx, tick uint64) (pagetable.VPN, boo
 // — replay draws depend only on the trace and the live-region table,
 // never on machine state mutated mid-tick — but skips the per-event
 // peek/consume bookkeeping (and its pending-event allocation), so the
-// simulator's fused batch loop can drive replays at profile speed.
+// simulator's batch loop can drive replays at profile speed.
 func (r *Replayer) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetable.VPN) int {
 	if r.exhausted {
 		return 0

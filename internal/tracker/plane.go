@@ -11,7 +11,7 @@ import (
 // accessed-bit substrate, the configured tracker, the heatmap, the
 // optional mover, and the optional ground-truth oracle. The simulator
 // owns exactly one (nil when the plane is off) and drives it from two
-// places: OnAccess from the fused access loop and Tick once per
+// places: OnAccess from the charge loop and Tick once per
 // simulated second.
 //
 // OnAccess is implemented here rather than through the Tracker
@@ -92,8 +92,8 @@ func (p *Plane) Heatmap() *Heatmap { return p.hm }
 // Tracker returns the running tracker.
 func (p *Plane) Tracker() Tracker { return p.trk }
 
-// OnAccess observes one CPU access; called from the simulator's fused
-// access loop, so it is a couple of array writes and nothing else.
+// OnAccess observes one CPU access; called from the simulator's charge
+// loop, so it is a couple of array writes and nothing else.
 func (p *Plane) OnAccess(pfn mem.PFN, pg *mem.Page) {
 	if p.orc != nil {
 		p.orc.observe(pfn)

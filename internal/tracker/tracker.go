@@ -58,7 +58,7 @@ type Tracker interface {
 	// Stop releases the tracker; no further calls after it.
 	Stop()
 	// OnAccess observes one CPU access to pfn; pg must be pfn's page.
-	// It must be cheap — it runs inside the fused access loop.
+	// It must be cheap — it runs inside the simulator's charge loop.
 	OnAccess(pfn mem.PFN, pg *mem.Page)
 	// Tick advances the scan clock. When a scan/aggregation boundary is
 	// due the tracker folds its counters into hm (opening a new decay

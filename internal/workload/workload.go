@@ -78,14 +78,6 @@ type ErrorReporter interface {
 // number of accesses written). The simulator uses it on the hot path
 // when available; workloads whose draws depend on machine state mutated
 // by earlier accesses in the same tick must not implement it.
-//
-// The parallel sim core (sim.Config.Workers) leans on the same
-// property: the batch is drawn serially — the workload's RNG streams
-// are never touched concurrently — and only afterwards is the filled
-// buffer staged across worker goroutines, which read the address space
-// without calling back into the workload. Implementations therefore
-// need no shard awareness or synchronization, and the draw sequence is
-// identical for any worker count.
 type BatchAccessor interface {
 	NextAccessBatch(ctx Ctx, tick uint64, buf []pagetable.VPN) int
 }

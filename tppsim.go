@@ -51,7 +51,7 @@
 //	cfg := tppsim.MachineConfig{
 //		Policy:   tppsim.DefaultLinux(),
 //		Workload: tppsim.Workloads["Cache1"](tppsim.DefaultWorkingSet),
-//		Ratio:    [2]uint64{2, 1},
+//		Topology: tppsim.TopologyCXL(2, 1),
 //	}
 //	if _, err := tppsim.Record(cfg, "cache1.trace.gz"); err != nil { ... }
 //
@@ -126,15 +126,6 @@ func TopologyPreset(name string) (Topology, bool) { return tier.Preset(name) }
 
 // MachineConfig configures one simulation run; it is sim.Config.
 type MachineConfig = sim.Config
-
-// WorkersAuto, set as MachineConfig.Workers, shards the sim core's
-// access-stage phase across one worker per CPU. Any worker count
-// produces bit-identical results; only wall-clock changes.
-const WorkersAuto = sim.WorkersAuto
-
-// ResolveWorkers reports the concrete worker count a
-// MachineConfig.Workers value resolves to on this host.
-var ResolveWorkers = sim.ResolveWorkers
 
 // MemStats is the simulator's own end-of-run memory footprint
 // (RunResult.MemStats, Machine.MemStats): extent count and split/merge
