@@ -11,13 +11,27 @@ import (
 	"tppsim/internal/workload"
 )
 
-// noBatch hides a workload's BatchAccessor fast path so the simulator
-// takes the sequential per-access draw loop, while still forwarding the
-// DirtyModel extension.
-type noBatch struct{ workload.Workload }
+// touchStream is the sequential reference for the batch access path:
+// it draws the wrapped workload's batch inside Tick and performs it
+// through Ctx.Touch, so each access is translated at its turn, and
+// hands the simulator an empty stream. It forwards DirtyModel.
+type touchStream struct {
+	workload.Workload
+	buf []pagetable.VPN
+}
 
-func (n noBatch) DirtyProb(r pagetable.Region) float64 {
-	if dm, ok := n.Workload.(workload.DirtyModel); ok {
+func (s *touchStream) Tick(ctx workload.Ctx, tick uint64) {
+	s.Workload.Tick(ctx, tick)
+	n := s.Workload.NextAccessBatch(ctx, tick, s.buf)
+	for _, v := range s.buf[:n] {
+		ctx.Touch(v)
+	}
+}
+
+func (*touchStream) NextAccessBatch(workload.Ctx, uint64, []pagetable.VPN) int { return 0 }
+
+func (s *touchStream) DirtyProb(r pagetable.Region) float64 {
+	if dm, ok := s.Workload.(workload.DirtyModel); ok {
 		return dm.DirtyProb(r)
 	}
 	return 0
@@ -30,20 +44,19 @@ func (n noBatch) DirtyProb(r pagetable.Region) float64 {
 // generation check must fall the rest of the batch back to the
 // re-translating path, making the two runs identical.
 func TestBatchMatchesSequentialUnderPressure(t *testing.T) {
+	const accesses = 2000
 	run := func(batch bool) *Machine {
 		var w workload.Workload = workload.Catalog["Web1"](16 * 1024)
 		if !batch {
-			w = noBatch{w}
+			w = &touchStream{Workload: w, buf: make([]pagetable.VPN, accesses)}
 		}
 		m, err := New(Config{
 			Seed: 11, Policy: core.DefaultLinux(), Workload: w,
 			LocalPages: 6000, CXLPages: 4000, Minutes: 8,
+			AccessesPerTick: accesses,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if batch != (m.batch != nil) {
-			t.Fatalf("batch path = %v, want %v", m.batch != nil, batch)
 		}
 		m.Run()
 		return m
@@ -87,7 +100,7 @@ func BenchmarkCharge(b *testing.B) {
 	if failed, why := m.Failed(); failed {
 		b.Fatalf("machine failed during warm-up: %s", why)
 	}
-	vs := m.accessBuf[:m.batch.NextAccessBatch(m, m.tick, m.accessBuf)]
+	vs := m.accessBuf[:m.wl.NextAccessBatch(m, m.tick, m.accessBuf)]
 	ws := m.pfnBuf[:len(vs)]
 	m.as.TranslateBatchHinted(vs, ws)
 	for _, w := range ws {

@@ -67,15 +67,11 @@ func TestScanCandidateInvariant(t *testing.T) {
 }
 
 // scriptWorkload maps one anon region, faults all of it in during tick
-// 0, and from tick 1 on draws the same scripted accesses every tick, as
-// a batch or one NextAccess at a time.
+// 0, and from tick 1 on draws the same scripted accesses every tick.
 type scriptWorkload struct {
 	pages uint64
 	r     pagetable.Region
 	batch func(r pagetable.Region) []pagetable.VPN
-	// tick and next track NextAccess's place in the tick's script.
-	tick uint64
-	next int
 }
 
 func (w *scriptWorkload) Name() string { return "script" }
@@ -92,17 +88,6 @@ func (w *scriptWorkload) Tick(ctx workload.Ctx, tick uint64) {
 		}
 	}
 }
-func (w *scriptWorkload) NextAccess(_ workload.Ctx, tick uint64) (pagetable.VPN, bool) {
-	if tick != w.tick {
-		w.tick, w.next = tick, 0
-	}
-	script := w.batch(w.r)
-	if tick == 0 || w.next == len(script) {
-		return 0, false
-	}
-	w.next++
-	return script[w.next-1], true
-}
 func (w *scriptWorkload) NextAccessBatch(_ workload.Ctx, tick uint64, buf []pagetable.VPN) int {
 	if tick == 0 {
 		return 0
@@ -115,13 +100,13 @@ func (w *scriptWorkload) NextAccessBatch(_ workload.Ctx, tick uint64, buf []page
 // the same page twice, and through two VPNs of one 2 MB frame. The batch
 // translation snapshots both accesses as hinted; the first fault clears
 // the live hint, so the second access is plain. The per-access path
-// (a workload without a batch draw) must read the live hint too.
+// (the script performed through Touch) must read the live hint too.
 func TestHintFaultOncePerSlot(t *testing.T) {
 	for _, c := range []struct {
-		name   string
-		huge   bool
-		scalar bool
-		pages  uint64
+		name  string
+		huge  bool
+		touch bool
+		pages uint64
 		// hint is the VPN whose slot is hinted before the batch.
 		hint  func(r pagetable.Region) pagetable.VPN
 		batch func(r pagetable.Region) []pagetable.VPN
@@ -145,8 +130,8 @@ func TestHintFaultOncePerSlot(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			w := &scriptWorkload{pages: c.pages, batch: c.batch}
 			var wl workload.Workload = w
-			if c.scalar {
-				wl = struct{ workload.Workload }{w} // hides NextAccessBatch
+			if c.touch {
+				wl = &touchStream{Workload: w, buf: make([]pagetable.VPN, 8)}
 			}
 			m, err := New(Config{
 				Seed: 1, Policy: core.NUMABalancing(), Workload: wl,

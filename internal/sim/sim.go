@@ -133,7 +133,8 @@ type Config struct {
 	// the given trace file (gzip-compressed when the path ends in
 	// ".gz") during the run. The trace is finalized when Run completes;
 	// check Machine.RecordError afterwards. Recording is transparent:
-	// the run's results are identical with or without it.
+	// the recorded run draws and charges through the same path, so its
+	// results are identical with or without it, failed runs included.
 	RecordTo string
 
 	// Tracker enables the sampled access-tracking plane: the configured
@@ -239,11 +240,7 @@ type Machine struct {
 	swapd     *swap.Device
 	cham      *chameleon.Chameleon
 
-	wl workload.Workload
-	// batch is wl's batched draw fast path, when it offers one; the
-	// access stream then costs one call per tick instead of one
-	// interface dispatch per access.
-	batch     workload.BatchAccessor
+	wl        workload.Workload
 	accessBuf []pagetable.VPN
 	// pfnBuf receives the batch's translated words, with
 	// pagetable.HintBit set for a hinted slot.
@@ -527,11 +524,8 @@ func New(cfg Config) (*Machine, error) {
 		}
 	}
 	m.run = &metrics.Run{Policy: p.Name, Workload: cfg.Workload.Name()}
-	if ba, ok := m.wl.(workload.BatchAccessor); ok {
-		m.batch = ba
-		m.accessBuf = make([]pagetable.VPN, cfg.AccessesPerTick)
-		m.pfnBuf = make([]mem.PFN, cfg.AccessesPerTick)
-	}
+	m.accessBuf = make([]pagetable.VPN, cfg.AccessesPerTick)
+	m.pfnBuf = make([]mem.PFN, cfg.AccessesPerTick)
 	m.wl.Start(m)
 	return m, nil
 }
@@ -574,20 +568,17 @@ func (m *Machine) homeOf(r pagetable.Region) mem.NodeID {
 }
 
 // Touch implements workload.Ctx: one access, demand-faulting if needed.
-func (m *Machine) Touch(v pagetable.VPN) { m.access(v) }
+// charge translates it as a one-element batch with an unresolved word.
+func (m *Machine) Touch(v pagetable.VPN) {
+	vs := [1]pagetable.VPN{v}
+	ws := [1]mem.PFN{mem.NilPFN}
+	m.charge(vs[:], ws[:])
+}
 
 // RNG implements workload.Ctx.
 func (m *Machine) RNG() *xrand.RNG { return m.wlRNG }
 
 // --- core loop ------------------------------------------------------------
-
-// access performs one memory access at v, demand-faulting if needed:
-// charge translates it as a one-element batch with an unresolved word.
-func (m *Machine) access(v pagetable.VPN) {
-	vs := [1]pagetable.VPN{v}
-	ws := [1]mem.PFN{mem.NilPFN}
-	m.charge(vs[:], ws[:])
-}
 
 // fault demand-faults v in, returning the new PFN and the per-page event
 // cost charged to the access. These are per-page costs, amortized over
@@ -812,25 +803,15 @@ func (m *Machine) Step() {
 	m.wl.Tick(m, m.tick)
 	prof.Lap(probe.PhaseWorkload)
 
-	// 2. Access stream. The batch path draws the whole tick's accesses in
-	// one call; a draw never observes machine state mutated by earlier
-	// accesses, and after a mid-tick failure the run is over, so the
-	// stream is identical to per-access draws. The non-batch path
-	// interleaves draw and charge per access, so the profiler attributes
-	// all of it to the charge phase.
-	if m.batch != nil {
-		n := m.batch.NextAccessBatch(m, m.tick, m.accessBuf)
+	// 2. Access stream, unless the workload phase failed the run: the
+	// whole tick's accesses are drawn in one call, then translated and
+	// charged in order. A draw never reads machine state the tick's
+	// accesses change, so the stream is the one per-access draws would
+	// give, and a recording wrapper draws and charges the same stream.
+	if !m.failed {
+		n := m.wl.NextAccessBatch(m, m.tick, m.accessBuf)
 		prof.Lap(probe.PhaseDraw)
 		m.runAccessBatch(m.accessBuf[:n])
-	} else {
-		for i := 0; i < m.cfg.AccessesPerTick && !m.failed; i++ {
-			v, ok := m.wl.NextAccess(m, m.tick)
-			if !ok {
-				break
-			}
-			m.access(v)
-		}
-		prof.Lap(probe.PhaseCharge)
 	}
 
 	// 3. Daemons. Migration work shows up under the phase of the engine

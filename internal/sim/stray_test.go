@@ -27,11 +27,15 @@ func (w *strayWorkload) TotalPages() uint64        { return 64 }
 func (w *strayWorkload) WarmupTicks() uint64       { return 0 }
 func (w *strayWorkload) Start(ctx workload.Ctx)    { w.r = ctx.Mmap(64, mem.Anon) }
 func (w *strayWorkload) Tick(workload.Ctx, uint64) {}
-func (w *strayWorkload) NextAccess(_ workload.Ctx, tick uint64) (pagetable.VPN, bool) {
-	if tick < 3 {
-		return w.r.Start + pagetable.VPN(tick), true
+func (w *strayWorkload) NextAccessBatch(_ workload.Ctx, tick uint64, buf []pagetable.VPN) int {
+	v := w.r.Start + pagetable.VPN(tick)
+	if tick >= 3 {
+		v = w.stray(w.r)
 	}
-	return w.stray(w.r), true
+	for i := range buf {
+		buf[i] = v
+	}
+	return len(buf)
 }
 
 // TestAccessOutsideRegionsFailsRun checks that an access outside every

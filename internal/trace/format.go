@@ -48,7 +48,7 @@
 //	                     dirty-prob float64 — region creation
 //	  OpMunmap   (0x02)  start varint, pages varint, type byte
 //	  OpTouch    (0x03)  zigzag varint delta of VPN vs. previous Touch/Access
-//	  OpAccess   (0x04)  same encoding; an access drawn via NextAccess
+//	  OpAccess   (0x04)  same encoding; an access of the tick's drawn batch
 //	  OpTickEnd  (0x05)  closes one simulated tick. v3+: a varint node
 //	                     count (0 = no per-node data), then per node a
 //	                     varint pair count followed by (counter byte,
@@ -729,7 +729,7 @@ func (w *Writer) Munmap(r pagetable.Region) {
 // Touch records an explicit workload touch (housekeeping access).
 func (w *Writer) Touch(v pagetable.VPN) { w.WriteEvent(Event{Op: OpTouch, VPN: v}) }
 
-// Access records one access drawn from NextAccess.
+// Access records one access of the tick's drawn batch (NextAccessBatch).
 func (w *Writer) Access(v pagetable.VPN) { w.WriteEvent(Event{Op: OpAccess, VPN: v}) }
 
 // TickEnd closes the current tick with no per-node data.

@@ -132,13 +132,14 @@ func (r *Recorder) writeTickEnd() {
 // informational (replays rebuild faults from the header schedule).
 func (r *Recorder) Fault(edge fault.Edge) { r.w.Fault(edge) }
 
-// NextAccess implements workload.Workload, recording each drawn access.
-func (r *Recorder) NextAccess(ctx workload.Ctx, tick uint64) (pagetable.VPN, bool) {
-	v, ok := r.inner.NextAccess(recCtx{ctx, r}, tick)
-	if ok {
+// NextAccessBatch implements workload.Workload, recording each drawn
+// access.
+func (r *Recorder) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetable.VPN) int {
+	n := r.inner.NextAccessBatch(recCtx{ctx, r}, tick, buf)
+	for _, v := range buf[:n] {
 		r.w.Access(v)
 	}
-	return v, ok
+	return n
 }
 
 // DirtyProb implements workload.DirtyModel by delegation, so recording a

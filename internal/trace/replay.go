@@ -65,7 +65,6 @@ type regionKey struct {
 var _ workload.Workload = (*Replayer)(nil)
 var _ workload.DirtyModel = (*Replayer)(nil)
 var _ workload.ErrorReporter = (*Replayer)(nil)
-var _ workload.BatchAccessor = (*Replayer)(nil)
 
 // Replayer returns a fresh replaying workload over the trace. Each call
 // is independent; build one per machine when comparing policies.
@@ -175,36 +174,13 @@ func (r *Replayer) Tick(ctx workload.Ctx, tick uint64) {
 	r.needDrain = true
 }
 
-// NextAccess implements workload.Workload: hand out the tick's next
-// recorded access, translated into the replaying address space.
-func (r *Replayer) NextAccess(ctx workload.Ctx, tick uint64) (pagetable.VPN, bool) {
-	if r.exhausted {
-		return 0, false
-	}
-	e, ok := r.peek()
-	if !ok || e.Op != OpAccess {
-		if !ok {
-			r.exhausted = true
-		}
-		return 0, false
-	}
-	r.consume()
-	v, found := r.translate(e.VPN)
-	if !found {
-		r.fail(fmt.Errorf("trace: access %d outside every live region", e.VPN))
-		return 0, false
-	}
-	return v, true
-}
-
-// NextAccessBatch implements workload.BatchAccessor: decode the tick's
-// recorded accesses straight off the event stream into buf, stopping at
-// the first non-access event (left pending for Tick/drain) or a full
-// buffer. Draw-for-draw identical to calling NextAccess len(buf) times
-// — replay draws depend only on the trace and the live-region table,
-// never on machine state mutated mid-tick — but skips the per-event
-// peek/consume bookkeeping (and its pending-event allocation), so the
-// simulator's batch loop can drive replays at profile speed.
+// NextAccessBatch implements workload.Workload: decode the tick's
+// recorded accesses straight off the event stream into buf, translated
+// into the replaying address space, stopping at the first non-access
+// event (left pending for Tick/drain) or a full buffer. The draw reads
+// only the trace and the live-region table, never machine state, and
+// skips the per-event peek/consume bookkeeping (and its pending-event
+// allocation), so replays run at profile speed.
 func (r *Replayer) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetable.VPN) int {
 	if r.exhausted {
 		return 0

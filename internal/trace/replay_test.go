@@ -253,40 +253,6 @@ func TestGeneratorsTinyWorkingSet(t *testing.T) {
 
 // TestCatalogTraceEntries runs each generator-backed catalog entry
 // briefly under TPP.
-// scalarOnly hides a Replayer's batch fast path, forcing the simulator
-// onto the one-NextAccess-per-access slow path.
-type scalarOnly struct{ workload.Workload }
-
-// TestReplayerBatchMatchesScalar pins the BatchAccessor contract: a
-// machine driven through NextAccessBatch must be bit-identical — scalars
-// and every vmstat counter — to one driven through per-access NextAccess
-// calls over the same trace.
-func TestReplayerBatchMatchesScalar(t *testing.T) {
-	tr := trace.PhaseShift(trace.GenConfig{Pages: 4096, Minutes: 4, AccessesPerTick: 400, Seed: 9})
-	runWith := func(wl workload.Workload) (*sim.Machine, string) {
-		m, err := sim.New(sim.Config{
-			Seed: 2, Policy: core.TPP(), Workload: wl,
-			Ratio: [2]uint64{2, 1}, Minutes: 4, AccessesPerTick: 400,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := m.Run()
-		if res.Failed {
-			t.Fatalf("run failed: %s", res.FailReason)
-		}
-		return m, res.String()
-	}
-	bm, bres := runWith(tr.Replayer(trace.ReplayOptions{}))
-	sm, sres := runWith(scalarOnly{tr.Replayer(trace.ReplayOptions{})})
-	if bres != sres {
-		t.Errorf("scalars diverged:\n batch  %s\n scalar %s", bres, sres)
-	}
-	if got, want := bm.Stat().Snapshot(), sm.Stat().Snapshot(); !got.Equal(want) {
-		t.Errorf("vmstat diverged:\n batch:\n%s scalar:\n%s", got.String(), want.String())
-	}
-}
-
 func TestCatalogTraceEntries(t *testing.T) {
 	for _, name := range []string{"PhaseShift", "SeqScan", "AdvChurn"} {
 		ctor, ok := workload.Catalog[name]

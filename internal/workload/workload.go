@@ -18,6 +18,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"tppsim/internal/mem"
@@ -58,9 +59,8 @@ type Workload interface {
 	// Tick runs once per simulated second: warm-up flooding, growth,
 	// churn, bursts.
 	Tick(ctx Ctx, tick uint64)
-	// NextAccess draws one memory access from the current distribution.
-	// ok is false when the workload has nothing mapped yet.
-	NextAccess(ctx Ctx, tick uint64) (v pagetable.VPN, ok bool)
+	// BatchAccessor draws the tick's sampled access stream.
+	BatchAccessor
 }
 
 // ErrorReporter is an optional Workload extension for workloads that
@@ -71,13 +71,14 @@ type ErrorReporter interface {
 	WorkloadErr() error
 }
 
-// BatchAccessor is an optional Workload extension: draw up to len(buf)
-// accesses in one call instead of one interface dispatch per access.
-// The draws must be identical to len(buf) consecutive NextAccess calls
-// at the same tick, stopping at the first !ok (the return value is the
-// number of accesses written). The simulator uses it on the hot path
-// when available; workloads whose draws depend on machine state mutated
-// by earlier accesses in the same tick must not implement it.
+// BatchAccessor is a workload's only draw: it writes up to len(buf) of
+// the tick's accesses into buf and returns how many it wrote, fewer when
+// the workload has nothing accessible (nothing mapped yet, or a trace's
+// tick ran out). The simulator draws a tick's whole stream before it
+// charges any of it, so a draw must not read machine state that the
+// tick's accesses change (residency, faults, reclaim); Profile draws
+// from its own regions and generators, and a trace replay from the
+// trace and its region table.
 type BatchAccessor interface {
 	NextAccessBatch(ctx Ctx, tick uint64, buf []pagetable.VPN) int
 }
@@ -205,7 +206,7 @@ type regionState struct {
 }
 
 // setGrown updates the accessible prefix and the cached hot-set size
-// derived from it (same arithmetic the offset draw used to do per access).
+// derived from it, so the draw does not recompute it per access.
 func (rs *regionState) setGrown(g uint64) {
 	rs.grown = g
 	if rs.spec.HotFraction > 0 {
@@ -224,15 +225,39 @@ var _ Validator = (*Profile)(nil)
 // Validate implements Validator: every static region needs at least one
 // page to draw from. Catalog regions are sized as percentages of the
 // working set, so a small enough working set rounds one down to zero.
-// Churn regions are exempt: their segments have at least one page.
+// Churn regions are exempt (their segments have at least one page)
+// unless ZipfS asks for a rank table over their pages. Weight and
+// WarmupWeight must be finite and non-negative, and some region needs a
+// positive Weight for the draw to pick from.
 func (p *Profile) Validate() error {
+	names := make([]string, 0, len(p.Specs))
+	positive := false
 	for _, spec := range p.Specs {
-		if spec.ChurnSegments == 0 && spec.Pages == 0 {
-			return fmt.Errorf("workload %s: region %q has 0 pages; a larger working set is needed", p.PName, spec.Name)
+		if spec.Pages == 0 {
+			if spec.ChurnSegments <= 0 {
+				return fmt.Errorf("workload %s: region %q has 0 pages; a larger working set is needed", p.PName, spec.Name)
+			}
+			if spec.ZipfS > 0 {
+				return fmt.Errorf("workload %s: churn region %q has 0 pages to rank by ZipfS %v", p.PName, spec.Name, spec.ZipfS)
+			}
 		}
+		if !finiteNonNeg(spec.Weight) {
+			return fmt.Errorf("workload %s: region %q Weight %v is not a finite non-negative number", p.PName, spec.Name, spec.Weight)
+		}
+		if !finiteNonNeg(spec.WarmupWeight) {
+			return fmt.Errorf("workload %s: region %q WarmupWeight %v is not a finite non-negative number", p.PName, spec.Name, spec.WarmupWeight)
+		}
+		positive = positive || spec.Weight > 0
+		names = append(names, spec.Name)
+	}
+	if !positive {
+		return fmt.Errorf("workload %s: no region of %q has a positive Weight", p.PName, names)
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite number >= 0 (NaN is not).
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // Name implements Workload.
 func (p *Profile) Name() string { return p.PName }
@@ -394,16 +419,6 @@ func (p *Profile) Tick(ctx Ctx, tick uint64) {
 	}
 }
 
-// NextAccess implements Workload.
-func (p *Profile) NextAccess(ctx Ctx, tick uint64) (pagetable.VPN, bool) {
-	warm := tick < p.Warmup
-	picker := p.picker
-	if warm {
-		picker = p.warmupPicker
-	}
-	return p.draw(picker.RNG(), picker.CDF(), warm)
-}
-
 // u64nRaw is RNG.Uint64n over raw state words (identical draws), so
 // batch loops pass state in registers instead of through memory.
 func u64nRaw(n, s0, s1, s2, s3 uint64) (out, t0, t1, t2, t3 uint64) {
@@ -421,11 +436,11 @@ func u64nRaw(n, s0, s1, s2, s3 uint64) (out, t0, t1, t2, t3 uint64) {
 	}
 }
 
-// NextAccessBatch implements BatchAccessor: the whole draw pipeline of
-// NextAccess fused into one loop, with the picker's CDF resolved once
-// and both RNG streams' state words held in locals — thousands of draws
-// without touching generator memory. Draw-for-draw identical to calling
-// NextAccess len(buf) times.
+// NextAccessBatch implements Workload. Each access picks a region on the
+// picker's stream, then a page in it on the workload's stream; a pick of
+// a region with nothing accessible yet (pre-growth) is retried, and after
+// four misses the batch ends. The picker's CDF is resolved once and both
+// streams' state words stay in locals, so draws touch no generator memory.
 func (p *Profile) NextAccessBatch(ctx Ctx, tick uint64, buf []pagetable.VPN) int {
 	warm := tick < p.Warmup
 	picker := p.picker
@@ -447,7 +462,8 @@ fill:
 			pu, p0, p1, p2, p3 = xrand.Step(p0, p1, p2, p3)
 			rs := &p.regions[xrand.SearchCDF(cdf, float64(pu>>11)/(1<<53))]
 			if rs.kind == drawChurn {
-				// churnAccess, fused.
+				// A segment by a walk from the newest that stops at each
+				// step with probability RecencyBias, then a page uniformly.
 				segn := len(rs.segments)
 				var idx int
 				if rs.bias <= 0 {
@@ -478,10 +494,15 @@ fill:
 			}
 			var off uint64
 			if warm {
-				// Warm-up: uniform over the populated prefix, no scatter.
+				// Warm-up: uniform over the populated prefix, in insertion
+				// order. Steady-state hotness (the scatter permutation) is
+				// uncorrelated with that order, so the hot set spreads over
+				// whichever nodes the warm-up filled, as in production.
 				off, w0, w1, w2, w3 = u64nRaw(rs.grown, w0, w1, w2, w3)
 			} else {
-				// offset(), fused: rank draw then scatter permutation.
+				// A rank honouring the skew, within the grown prefix, then
+				// the scatter permutation, fixed over the whole region so
+				// the hot set stays put as the region grows.
 				var idx uint64
 				switch rs.kind {
 				case drawHot:
@@ -518,41 +539,6 @@ fill:
 	return n
 }
 
-// draw produces one access from the current distribution. prng/cdf are
-// the region picker's private stream and CDF; the inline inverse-CDF
-// draw is identical to Weighted.Next. Offsets draw from the workload's
-// own stream, as before.
-func (p *Profile) draw(prng *xrand.RNG, cdf []float64, warm bool) (pagetable.VPN, bool) {
-	rng := p.rng
-	// A few rejection rounds in case the chosen region has nothing
-	// accessible yet (pre-growth).
-	for attempt := 0; attempt < 4; attempt++ {
-		u := float64(prng.Uint64()>>11) / (1 << 53)
-		rs := &p.regions[xrand.SearchCDF(cdf, u)]
-		if rs.kind == drawChurn {
-			return rs.churnAccess(rng), true
-		}
-		if rs.grown == 0 {
-			continue
-		}
-		var off uint64
-		if warm {
-			// During warm-up the hot set has not emerged yet: loads and
-			// inserts touch the populated prefix uniformly in insertion
-			// order. Steady-state hotness (a scattered permutation) is
-			// deliberately uncorrelated with this order, so the hot set
-			// ends up spread across whichever nodes the warm-up filled —
-			// as in production, where object popularity has nothing to do
-			// with insertion order.
-			off = rng.Uint64n(rs.grown)
-		} else {
-			off = rs.offset(rng)
-		}
-		return rs.region.Start + pagetable.VPN(off), true
-	}
-	return 0, false
-}
-
 // scatterPrime is coprime to every region size below it, so
 // (idx * scatterPrime) % Pages permutes page indices: popularity rank is
 // decoupled from allocation order. Page hotness in real applications is
@@ -560,37 +546,6 @@ func (p *Profile) draw(prng *xrand.RNG, cdf []float64, warm bool) (pagetable.VPN
 // region's start (which would let a full local node keep the hot set by
 // accident of allocation order).
 const scatterPrime = 1000000007
-
-// offset draws a page offset within the region, honouring skew. The
-// footprint is bounded by the grown counter; rank→page mapping is a fixed
-// permutation over the whole region so the hot set is stable as the
-// region grows.
-func (rs *regionState) offset(rng *xrand.RNG) uint64 {
-	var idx uint64
-	switch rs.kind {
-	case drawHot:
-		// Inline rng.Bool(hotWeight) — including its no-draw guards for
-		// degenerate weights — so the hot path stays call-free.
-		hot := rs.hot
-		hotHit := rs.hotWeight >= 1
-		if w := rs.hotWeight; w > 0 && w < 1 {
-			hotHit = float64(rng.Uint64()>>11)/(1<<53) < w
-		}
-		if hotHit || hot >= rs.grown {
-			idx = rng.Uint64n(hot)
-		} else {
-			idx = hot + rng.Uint64n(rs.grown-hot)
-		}
-	case drawZipf:
-		idx = uint64(rs.zipf.Next())
-		if idx >= rs.grown {
-			idx %= rs.grown
-		}
-	default:
-		idx = rng.Uint64n(rs.grown)
-	}
-	return rs.scatter(idx)
-}
 
 // initScatter precomputes scatter's reciprocal for the static region
 // rs.region.
@@ -611,23 +566,4 @@ func (rs *regionState) scatter(idx uint64) uint64 {
 		r -= pages
 	}
 	return r
-}
-
-// churnAccess picks a segment with recency bias, then a page uniformly.
-func (rs *regionState) churnAccess(rng *xrand.RNG) pagetable.VPN {
-	n := len(rs.segments)
-	var idx int
-	if rs.bias <= 0 {
-		idx = rng.Intn(n)
-	} else {
-		// Geometric walk from the newest end: each step stops with
-		// probability RecencyBias, so higher bias concentrates accesses
-		// on recently allocated segments.
-		idx = n - 1
-		for idx > 0 && !rng.Bool(rs.bias) {
-			idx--
-		}
-	}
-	seg := rs.segments[idx]
-	return seg.Start + pagetable.VPN(rng.Uint64n(rs.segPages))
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -75,18 +76,37 @@ func TestProfilesConstructAndStart(t *testing.T) {
 	}
 }
 
+// drawN draws up to n accesses at tick through NextAccessBatch. A batch
+// ends at its first miss (four region picks with nothing accessible), so
+// drawN draws again after one, making at most n calls.
+func drawN(p *Profile, ctx Ctx, tick uint64, n int) []pagetable.VPN {
+	buf := make([]pagetable.VPN, n)
+	got := 0
+	for calls := 0; got < n && calls < n; calls++ {
+		got += p.NextAccessBatch(ctx, tick, buf[got:])
+	}
+	return buf[:got]
+}
+
+// TestNextAccessInsideRegions steps Cache1 through its warm-up and a
+// minute of churn, drawing after every tick, and checks that no access
+// falls outside a mapped region (a recycled churn segment included).
 func TestNextAccessInsideRegions(t *testing.T) {
 	w := Cache1(8192)
 	ctx := newFakeCtx()
 	w.Start(ctx)
-	for i := 0; i < 10000; i++ {
-		v, ok := w.NextAccess(ctx, 0)
-		if !ok {
-			continue
+	drawn := 0
+	for tick := uint64(0); tick < w.WarmupTicks()+TicksPerMinute; tick++ {
+		w.Tick(ctx, tick)
+		for _, v := range drawN(w, ctx, tick, 100) {
+			if _, found := ctx.as.RegionOf(v); !found {
+				t.Fatalf("tick %d: access outside any region: %d", tick, v)
+			}
+			drawn++
 		}
-		if _, found := ctx.as.RegionOf(v); !found {
-			t.Fatalf("access outside any region: %d", v)
-		}
+	}
+	if drawn == 0 {
+		t.Fatal("no access drawn")
 	}
 }
 
@@ -116,11 +136,7 @@ func TestGrowthExpandsAnonFootprint(t *testing.T) {
 	w.Start(ctx)
 	countAnonSpan := func() int {
 		seen := map[pagetable.VPN]bool{}
-		for i := 0; i < 20000; i++ {
-			v, ok := w.NextAccess(ctx, 400*TicksPerMinute)
-			if !ok {
-				continue
-			}
+		for _, v := range drawN(w, ctx, 400*TicksPerMinute, 20000) {
 			if r, k := ctx.as.RegionOf(v); k && r.Type == mem.Anon {
 				seen[v] = true
 			}
@@ -177,11 +193,11 @@ func TestZipfSkewConcentratesAccesses(t *testing.T) {
 	p.Start(ctx)
 	counts := map[pagetable.VPN]int{}
 	const draws = 50000
-	for i := 0; i < draws; i++ {
-		v, ok := p.NextAccess(ctx, 0)
-		if !ok {
-			t.Fatal("no access")
-		}
+	buf := make([]pagetable.VPN, draws)
+	if n := p.NextAccessBatch(ctx, 0, buf); n != draws {
+		t.Fatalf("drew %d of %d accesses", n, draws)
+	}
+	for _, v := range buf {
 		counts[v]++
 	}
 	// Concentration: the hottest 10% of pages must absorb most accesses.
@@ -210,11 +226,8 @@ func TestUniformRegionCoversEverything(t *testing.T) {
 	ctx := newFakeCtx()
 	p.Start(ctx)
 	seen := map[pagetable.VPN]bool{}
-	for i := 0; i < 10000; i++ {
-		v, ok := p.NextAccess(ctx, 0)
-		if ok {
-			seen[v] = true
-		}
+	for _, v := range drawN(p, ctx, 0, 10000) {
+		seen[v] = true
 	}
 	if len(seen) != 64 {
 		t.Fatalf("uniform region covered %d/64 pages", len(seen))
@@ -236,11 +249,7 @@ func TestChurnRecencyBias(t *testing.T) {
 	newest := regions[len(regions)-1]
 	oldest := regions[0]
 	var newHits, oldHits int
-	for i := 0; i < 20000; i++ {
-		v, ok := p.NextAccess(ctx, 0)
-		if !ok {
-			continue
-		}
+	for _, v := range drawN(p, ctx, 0, 20000) {
 		if newest.Contains(v) {
 			newHits++
 		}
@@ -253,22 +262,24 @@ func TestChurnRecencyBias(t *testing.T) {
 	}
 }
 
+// TestDeterministicAccessStream steps two copies of Cache2 through its
+// warm-up and into steady state, drawing after every tick, and checks
+// that the two streams are identical.
 func TestDeterministicAccessStream(t *testing.T) {
 	mk := func() []pagetable.VPN {
 		w := Cache2(4096)
 		ctx := newFakeCtx()
 		w.Start(ctx)
 		var out []pagetable.VPN
-		for i := 0; i < 1000; i++ {
-			if v, ok := w.NextAccess(ctx, 0); ok {
-				out = append(out, v)
-			}
+		for tick := uint64(0); tick < w.WarmupTicks()+TicksPerMinute; tick++ {
+			w.Tick(ctx, tick)
+			out = append(out, drawN(w, ctx, tick, 50)...)
 		}
 		return out
 	}
 	a, b := mk(), mk()
-	if len(a) != len(b) {
-		t.Fatal("stream lengths differ")
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("stream lengths %d and %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -324,15 +335,38 @@ func TestScatterMatchesModulo(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsEmptyStaticRegions checks that Validate names a
-// static region that a small working set rounded down to zero pages, and
-// accepts every catalog profile at the default size and a zero-page
-// churn region.
+// TestValidateRejectsEmptyStaticRegions checks that Validate names the
+// region of a profile that cannot start or draw: a static region that a
+// small working set rounded down to zero pages (a negative ChurnSegments
+// makes a static region), a zero-page churn region with a ZipfS skew, a
+// NaN, infinite or negative Weight or WarmupWeight, and a profile with no
+// positive Weight. It accepts every catalog profile at the default size
+// and a zero-page churn region.
 func TestValidateRejectsEmptyStaticRegions(t *testing.T) {
-	for _, tc := range []struct {
+	custom := func(specs ...RegionSpec) *Profile {
+		return &Profile{PName: "custom", TM: Cache1(1).TM, Specs: specs}
+	}
+	hot := RegionSpec{Name: "hot", Type: mem.Anon, Pages: 64, Weight: 1}
+	weighted := func(w, warm float64) *Profile {
+		return custom(hot, RegionSpec{Name: "bad-weight", Type: mem.Anon, Pages: 64, Weight: w, WarmupWeight: warm})
+	}
+	type row struct {
 		w      *Profile
 		region string
-	}{{Web1(50), "file-cold"}, {Cache1(5), "anon-query"}} {
+	}
+	rows := []row{
+		{Web1(50), "file-cold"},
+		{Cache1(5), "anon-query"},
+		{custom(RegionSpec{Name: "warm-only", Type: mem.Anon, Pages: 64, WarmupWeight: 1}), "warm-only"},
+		{custom(hot, RegionSpec{
+			Name: "skewed-churn", Type: mem.Anon, Weight: 1, ZipfS: 0.8, ChurnSegments: 4, ChurnTicks: 1,
+		}), "skewed-churn"},
+		{custom(hot, RegionSpec{Name: "negative-churn", Type: mem.Anon, Weight: 1, ChurnSegments: -1}), "negative-churn"},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		rows = append(rows, row{weighted(bad, 0), "bad-weight"}, row{weighted(1, bad), "bad-weight"})
+	}
+	for _, tc := range rows {
 		err := tc.w.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.region) {
 			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.w.Name(), err, tc.region)
@@ -350,57 +384,5 @@ func TestValidateRejectsEmptyStaticRegions(t *testing.T) {
 	}}}
 	if err := churnOnly.Validate(); err != nil {
 		t.Errorf("zero-page churn region rejected: %v", err)
-	}
-}
-
-// TestNextAccessBatchMatchesNextAccess holds the batched draw to the
-// scalar one it fuses: recorded runs draw through NextAccess and plain
-// runs through NextAccessBatch, so the two must produce the same stream.
-// Two copies of every catalog Profile, at two sizes, step through the
-// same ticks (warm-up, growth, churn); at each drawing tick one copy
-// draws a batch of 997 and the other 997 scalar draws, stopping at the
-// first miss, and the VPNs and the stop points must match.
-func TestNextAccessBatchMatchesNextAccess(t *testing.T) {
-	const batch = 997
-	every := uint64(1)
-	if testing.Short() {
-		every = 7
-	}
-	for _, name := range Names() {
-		for _, pages := range []uint64{4 << 10, 32 << 10} {
-			bw, ok := Catalog[name](pages).(*Profile)
-			if !ok {
-				continue
-			}
-			sw := Catalog[name](pages).(*Profile)
-			bctx := &drawCtx{as: pagetable.New(1), rng: xrand.New(1)}
-			sctx := &drawCtx{as: pagetable.New(1), rng: xrand.New(1)}
-			bw.Start(bctx)
-			sw.Start(sctx)
-			buf := make([]pagetable.VPN, batch)
-			for tick := uint64(0); tick < bw.WarmupTicks()+120; tick++ {
-				bw.Tick(bctx, tick)
-				sw.Tick(sctx, tick)
-				if tick%every != 0 {
-					continue
-				}
-				n := bw.NextAccessBatch(bctx, tick, buf)
-				for i := 0; i < batch; i++ {
-					v, ok := sw.NextAccess(sctx, tick)
-					if !ok {
-						if i != n {
-							t.Fatalf("%s/%d tick %d: scalar draws stop at %d, the batch at %d", name, pages, tick, i, n)
-						}
-						break
-					}
-					if i >= n {
-						t.Fatalf("%s/%d tick %d: the batch stops at %d, scalar draw %d succeeds", name, pages, tick, n, i)
-					}
-					if v != buf[i] {
-						t.Fatalf("%s/%d tick %d draw %d: batch VPN %d, scalar %d", name, pages, tick, i, buf[i], v)
-					}
-				}
-			}
-		}
 	}
 }
