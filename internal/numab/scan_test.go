@@ -180,7 +180,7 @@ func (rig *scanRig) refault(i int, v pagetable.VPN, node mem.NodeID) {
 // remap unmaps region i, freeing its pages, and maps a new region in
 // its place at the end of the address space.
 func (rig *scanRig) remap(i int, rng *rand.Rand) {
-	for _, pfn := range rig.as.Munmap(rig.as.RegionAt(i)) {
+	for _, pfn := range rig.as.Munmap(rig.as.RegionAt(i), nil) {
 		rig.store.Free(pfn)
 	}
 	rig.mmap(rng)

@@ -30,7 +30,7 @@ func agedSpace(b *testing.B, as *AddressSpace, untilVPN VPN) (*AddressSpace, []V
 		regions = append(regions, as.Mmap(34, mem.Anon))
 	}
 	for as.nextVPN < untilVPN {
-		as.Munmap(regions[3])
+		as.Munmap(regions[3], nil)
 		copy(regions[3:], regions[4:])
 		regions[len(regions)-1] = as.Mmap(34, mem.Anon)
 	}

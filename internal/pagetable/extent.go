@@ -361,14 +361,13 @@ func (as *AddressSpace) unmapPFNExtent(pfn mem.PFN, v VPN, kind EvictKind) (VPN,
 	return v, true
 }
 
-// munmapExtents collects every mapped frame of a dying region, clears
-// its reverse-map slots, and unwinds the mapped/evicted/hinted
+// munmapExtents appends every mapped frame of a dying region to pfns,
+// clears its reverse-map slots, and unwinds the mapped/evicted/hinted
 // accounting. Munmap proper removes the region from the index.
-func (as *AddressSpace) munmapExtents(rs *regionState) []mem.PFN {
+func (as *AddressSpace) munmapExtents(rs *regionState, pfns []mem.PFN) []mem.PFN {
 	for _, w := range rs.hints {
 		as.nHinted -= bits.OnesCount64(w)
 	}
-	var pfns []mem.PFN
 	for j := range rs.exts {
 		e := &rs.exts[j]
 		if e.pfn == mem.NilPFN {

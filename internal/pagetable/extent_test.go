@@ -57,8 +57,8 @@ func (p *lockstepPair) mmap(pages uint64, ty mem.PageType) {
 func (p *lockstepPair) munmap(i int) {
 	r := p.regions[i]
 	p.regions = append(p.regions[:i], p.regions[i+1:]...)
-	pd := append([]mem.PFN(nil), p.dense.Munmap(r)...)
-	pe := append([]mem.PFN(nil), p.ext.Munmap(r)...)
+	pd := p.dense.Munmap(r, nil)
+	pe := p.ext.Munmap(r, nil)
 	// Order is representation-defined; the PFN sets must match.
 	sort.Slice(pd, func(a, b int) bool { return pd[a] < pd[b] })
 	sort.Slice(pe, func(a, b int) bool { return pe[a] < pe[b] })

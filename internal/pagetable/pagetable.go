@@ -292,18 +292,19 @@ func (as *AddressSpace) regionOf(v VPN) *regionState {
 	return nil
 }
 
-// Munmap removes the region and returns the PFNs of all pages that were
-// mapped inside it, so the caller can release node residency and free
-// them. Unknown regions panic: the simulator controls all regions.
-func (as *AddressSpace) Munmap(r Region) []mem.PFN {
+// Munmap removes the region, appends the PFNs of all pages that were
+// mapped inside it to pfns in ascending VPN order, and returns the
+// extended slice, so the caller can release node residency and free
+// them (and reuse one buffer across calls). Unknown regions panic: the
+// simulator controls all regions.
+func (as *AddressSpace) Munmap(r Region, pfns []mem.PFN) []mem.PFN {
 	idx := sort.Search(len(as.starts), func(i int) bool { return as.starts[i] >= r.Start })
 	if idx >= len(as.regions) || as.regions[idx].Start != r.Start || as.regions[idx].Pages != r.Pages {
 		panic(fmt.Sprintf("pagetable: munmap of unknown region %+v", r))
 	}
 	rs := &as.regions[idx]
-	var pfns []mem.PFN
 	if as.ext {
-		pfns = as.munmapExtents(rs)
+		pfns = as.munmapExtents(rs, pfns)
 		as.regions = append(as.regions[:idx], as.regions[idx+1:]...)
 		as.starts = append(as.starts[:idx], as.starts[idx+1:]...)
 		as.ends = append(as.ends[:idx], as.ends[idx+1:]...)

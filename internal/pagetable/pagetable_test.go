@@ -1,6 +1,7 @@
 package pagetable
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -54,21 +55,22 @@ func TestDoubleMapPanics(t *testing.T) {
 	as.MapPage(r.Start, 2)
 }
 
+// TestMunmapReturnsMappedPFNs checks that Munmap appends the region's
+// mapped PFNs to the caller's buffer in VPN order, keeping what the
+// buffer held, and allocates nothing when the buffer has room.
 func TestMunmapReturnsMappedPFNs(t *testing.T) {
 	as := New(1)
 	r := as.Mmap(5, mem.File)
-	as.MapPage(r.Start, 10)
 	as.MapPage(r.Start+2, 12)
-	pfns := as.Munmap(r)
-	if len(pfns) != 2 {
-		t.Fatalf("Munmap returned %d PFNs, want 2", len(pfns))
+	as.MapPage(r.Start, 10)
+	buf := make([]mem.PFN, 1, 8)
+	buf[0] = 7
+	pfns := as.Munmap(r, buf)
+	if want := []mem.PFN{7, 10, 12}; !slices.Equal(pfns, want) {
+		t.Fatalf("Munmap returned %v, want %v", pfns, want)
 	}
-	seen := map[mem.PFN]bool{}
-	for _, p := range pfns {
-		seen[p] = true
-	}
-	if !seen[10] || !seen[12] {
-		t.Fatalf("Munmap PFNs wrong: %v", pfns)
+	if &pfns[0] != &buf[0] {
+		t.Fatal("Munmap reallocated a buffer with room to spare")
 	}
 	if as.Mapped() != 0 || len(as.Regions()) != 0 {
 		t.Fatal("Munmap left state behind")
@@ -82,7 +84,7 @@ func TestMunmapUnknownPanics(t *testing.T) {
 			t.Fatal("munmap of unknown region did not panic")
 		}
 	}()
-	as.Munmap(Region{Start: 1, Pages: 1})
+	as.Munmap(Region{Start: 1, Pages: 1}, nil)
 }
 
 func TestRegionOf(t *testing.T) {
@@ -164,7 +166,7 @@ func TestMunmapClearsEvicted(t *testing.T) {
 	r := as.Mmap(2, mem.File)
 	as.MapPage(r.Start, 1)
 	as.UnmapPFN(1, EvictFile)
-	as.Munmap(r)
+	as.Munmap(r, nil)
 	if as.EvictedCount(EvictNone) != 0 {
 		t.Fatal("Munmap left eviction records")
 	}
@@ -199,7 +201,7 @@ func TestRegionAccessorsNoCopy(t *testing.T) {
 	if len(seen) != 1 {
 		t.Fatal("ForEachRegion ignored early stop")
 	}
-	as.Munmap(r1)
+	as.Munmap(r1, nil)
 	if as.NumRegions() != 1 || as.RegionAt(0) != r2 || as.TotalPages() != 20 {
 		t.Fatal("accessors stale after Munmap")
 	}
@@ -260,7 +262,7 @@ func TestEvictedCountTransitions(t *testing.T) {
 		t.Fatal("MapPage did not decrement eviction counters")
 	}
 	// Munmap clears the rest.
-	as.Munmap(r)
+	as.Munmap(r, nil)
 	if as.EvictedCount(EvictNone) != 0 {
 		t.Fatal("Munmap left eviction counters")
 	}
@@ -286,7 +288,7 @@ func TestMapUnmapProperty(t *testing.T) {
 		if as.Mapped() != want {
 			return false
 		}
-		pfns := as.Munmap(r)
+		pfns := as.Munmap(r, nil)
 		return len(pfns) == want && as.Mapped() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -397,7 +399,7 @@ func TestScanMarks(t *testing.T) {
 			}
 			want(nil, 0, 0, 0, 0, 0, 0)
 			as.Poison(0, []MarkWord{{W: 0, Slots: 1}})
-			if got := as.Munmap(r); len(got) != 1 || got[0] != 10 || as.HintedSlots() != 0 {
+			if got := as.Munmap(r, nil); len(got) != 1 || got[0] != 10 || as.HintedSlots() != 0 {
 				t.Fatalf("Munmap = %v leaving %d hinted slots, want [10] and 0", got, as.HintedSlots())
 			}
 			r = as.Mmap(uint64(fp), mem.File)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"io"
 	"math"
 	"path/filepath"
 	"testing"
@@ -73,6 +74,67 @@ func TestRecordingFailedRunIsTransparent(t *testing.T) {
 				assertSameRun(t, name, m, plain)
 			}
 		})
+	}
+}
+
+// TestRecordingHugeRunIsTransparent records a huge-page run, whose flood
+// charges each frame's run of accesses past the first few without
+// translating them (Machine.TouchRange), and checks that the plain,
+// recorded and replayed runs agree tick by tick, and that the trace
+// holds one touch per flooded page: every heap page once, ascending.
+// The replay performs the trace's touches one at a time.
+func TestRecordingHugeRunIsTransparent(t *testing.T) {
+	run := func(wl workload.Workload, recordTo string) *Machine {
+		cfg := hugeTestConfig()
+		cfg.RecordEveryTicks = 1
+		cfg.RecordTo = recordTo
+		if wl != nil {
+			cfg.Workload = wl
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		if err := m.RecordError(); err != nil {
+			t.Fatalf("recording: %v", err)
+		}
+		if failed, why := m.Failed(); failed {
+			t.Fatalf("run failed: %s", why)
+		}
+		return m
+	}
+	plain := run(nil, "")
+	path := filepath.Join(t.TempDir(), "huge.trace")
+	recorded := run(nil, path)
+	tr, err := trace.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRun(t, "recorded", recorded, plain)
+	assertSameRun(t, "replayed", run(tr.Replayer(trace.ReplayOptions{}), ""), plain)
+
+	heap := plain.AddressSpace().RegionAt(0)
+	next := heap.Start
+	events := tr.Events()
+	for {
+		e, err := events.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Op != trace.OpTouch {
+			continue
+		}
+		if e.VPN != next {
+			t.Fatalf("touch %d of the trace is VPN %d, want %d", next-heap.Start, e.VPN, next)
+		}
+		next++
+	}
+	if next != heap.End() {
+		t.Fatalf("the trace holds %d touches, want one per heap page, %d", next-heap.Start, heap.Pages)
 	}
 }
 

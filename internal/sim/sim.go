@@ -242,6 +242,8 @@ type Machine struct {
 
 	wl        workload.Workload
 	accessBuf []pagetable.VPN
+	// freed receives an unmapped region's PFNs; reused across Munmaps.
+	freed []mem.PFN
 	// pfnBuf receives the batch's translated words, with
 	// pagetable.HintBit set for a hinted slot.
 	pfnBuf []mem.PFN
@@ -547,7 +549,8 @@ func (m *Machine) Mmap(pages uint64, t mem.PageType) pagetable.Region {
 
 // Munmap implements workload.Ctx: frees every populated page.
 func (m *Machine) Munmap(r pagetable.Region) {
-	for _, pfn := range m.as.Munmap(r) {
+	m.freed = m.as.Munmap(r, m.freed[:0])
+	for _, pfn := range m.freed {
 		m.allocator.FreePage(pfn)
 	}
 	if m.regionHome != nil {
@@ -573,6 +576,42 @@ func (m *Machine) Touch(v pagetable.VPN) {
 	vs := [1]pagetable.VPN{v}
 	ws := [1]mem.PFN{mem.NilPFN}
 	m.charge(vs[:], ws[:])
+}
+
+// TouchRange implements workload.Ctx: Touch(start) ... Touch(start+n-1)
+// in order. The dense table touches page by page. A huge-frame table
+// walks the range a frame at a time: the frame's first access goes
+// through Touch, which faults the frame in if need be, and charge takes
+// the rest of the frame, clamped to the range and the region, as one
+// batch of the word translated once after that Touch.
+func (m *Machine) TouchRange(start pagetable.VPN, n uint64) {
+	end := start + pagetable.VPN(n)
+	if m.framePages == 1 {
+		for v := start; v < end; v++ {
+			m.Touch(v)
+		}
+		return
+	}
+	var vs [mem.HugeFramePages]pagetable.VPN
+	var ws [mem.HugeFramePages]mem.PFN
+	for v := start; v < end; v++ {
+		m.Touch(v)
+		if m.failed {
+			return // every later Touch would be a no-op
+		}
+		r, _ := m.as.RegionOf(v) // Touch mapped v, so it lies in a region
+		stop := min(end, r.End(), (v|pagetable.VPN(m.framePages-1))+1)
+		w, hinted, _ := m.as.TranslateHinted(v)
+		if hinted {
+			w |= pagetable.HintBit
+		}
+		k := 0
+		for ; v+1 < stop; k++ {
+			v++
+			vs[k], ws[k] = v, w
+		}
+		m.charge(vs[:k], ws[:k])
+	}
 }
 
 // RNG implements workload.Ctx.

@@ -199,3 +199,12 @@ func (c recCtx) Touch(v pagetable.VPN) {
 	c.rec.w.Touch(v)
 	c.Ctx.Touch(v)
 }
+
+// TouchRange records one touch per page, as Touch would, then forwards
+// the range whole. The embedded Ctx would forward it unrecorded.
+func (c recCtx) TouchRange(start pagetable.VPN, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		c.rec.w.Touch(start + pagetable.VPN(i))
+	}
+	c.Ctx.TouchRange(start, n)
+}

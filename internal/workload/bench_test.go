@@ -16,8 +16,9 @@ type drawCtx struct {
 }
 
 func (c *drawCtx) Mmap(pages uint64, t mem.PageType) pagetable.Region { return c.as.Mmap(pages, t) }
-func (c *drawCtx) Munmap(r pagetable.Region)                          { c.as.Munmap(r) }
+func (c *drawCtx) Munmap(r pagetable.Region)                          { c.as.Munmap(r, nil) }
 func (c *drawCtx) Touch(pagetable.VPN)                                {}
+func (c *drawCtx) TouchRange(pagetable.VPN, uint64)                   {}
 func (c *drawCtx) RNG() *xrand.RNG                                    { return c.rng }
 
 // BenchmarkNextAccessBatch measures the workload draw alone: one tick's

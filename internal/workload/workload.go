@@ -40,6 +40,11 @@ type Ctx interface {
 	Munmap(r pagetable.Region)
 	// Touch performs one memory access at v (demand-faulting if needed).
 	Touch(v pagetable.VPN)
+	// TouchRange performs exactly Touch(start), Touch(start+1), ...,
+	// Touch(start+n-1), in that order. The warm-up flood and a churned
+	// segment's fault-in touch their pages through it, so a machine can
+	// charge a huge frame's run of accesses without translating each.
+	TouchRange(start pagetable.VPN, n uint64)
 	// RNG returns the workload's private random stream.
 	RNG() *xrand.RNG
 }
@@ -364,9 +369,7 @@ func (p *Profile) Tick(ctx Ctx, tick uint64) {
 			if end > spec.Pages {
 				end = spec.Pages
 			}
-			for v := rs.prefaultCursor; v < end; v++ {
-				ctx.Touch(rs.region.Start + pagetable.VPN(v))
-			}
+			ctx.TouchRange(rs.region.Start+pagetable.VPN(rs.prefaultCursor), end-rs.prefaultCursor)
 			rs.prefaultCursor = end
 			if rs.grown < end {
 				rs.setGrown(end)
@@ -411,9 +414,7 @@ func (p *Profile) Tick(ctx Ctx, tick uint64) {
 				rs.segments = append(rs.segments, fresh)
 				// Newly allocated request memory is written immediately:
 				// the §5.2 allocation burst.
-				for v := uint64(0); v < rs.segPages; v++ {
-					ctx.Touch(fresh.Start + pagetable.VPN(v))
-				}
+				ctx.TouchRange(fresh.Start, rs.segPages)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,10 +13,14 @@ import (
 )
 
 // fakeCtx implements Ctx with a plain address space and touch counting.
+// It logs every touched VPN and every mapped region in order, and runs a
+// range as per-page touches.
 type fakeCtx struct {
 	as      *pagetable.AddressSpace
 	rng     *xrand.RNG
 	touched map[pagetable.VPN]int
+	order   []pagetable.VPN
+	mapped  []pagetable.Region
 	mmaps   int
 	munmaps int
 }
@@ -30,15 +35,26 @@ func newFakeCtx() *fakeCtx {
 
 func (c *fakeCtx) Mmap(pages uint64, t mem.PageType) pagetable.Region {
 	c.mmaps++
-	return c.as.Mmap(pages, t)
+	r := c.as.Mmap(pages, t)
+	c.mapped = append(c.mapped, r)
+	return r
 }
 
 func (c *fakeCtx) Munmap(r pagetable.Region) {
 	c.munmaps++
-	c.as.Munmap(r)
+	c.as.Munmap(r, nil)
 }
 
-func (c *fakeCtx) Touch(v pagetable.VPN) { c.touched[v]++ }
+func (c *fakeCtx) Touch(v pagetable.VPN) {
+	c.touched[v]++
+	c.order = append(c.order, v)
+}
+
+func (c *fakeCtx) TouchRange(start pagetable.VPN, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		c.Touch(start + pagetable.VPN(i))
+	}
+}
 
 func (c *fakeCtx) RNG() *xrand.RNG { return c.rng }
 
@@ -176,6 +192,49 @@ func TestChurnRecyclesSegments(t *testing.T) {
 	// Fresh segments are touched immediately (allocation bursts).
 	if len(ctx.touched) == 0 {
 		t.Fatal("churn did not touch fresh pages")
+	}
+}
+
+// TestTickTouchOrder pins which pages Tick touches and in what order:
+// each warm-up tick, every flooded region's next PrefaultPerTick pages,
+// ascending, region by region; each later tick, every fresh churn
+// segment's pages, ascending, segment by segment in mmap order.
+func TestTickTouchOrder(t *testing.T) {
+	for _, name := range []string{"Web1", "Cache1"} {
+		t.Run(name, func(t *testing.T) {
+			p := Catalog[name](8192).(*Profile)
+			ctx := newFakeCtx()
+			p.Start(ctx)
+			var flooded, churned int
+			for tick := uint64(0); tick < p.Warmup+2*TicksPerMinute; tick++ {
+				ctx.order, ctx.mapped = ctx.order[:0], ctx.mapped[:0]
+				p.Tick(ctx, tick)
+				var want []pagetable.VPN
+				if tick < p.Warmup {
+					for ri, spec := range p.Specs {
+						from := min(tick*spec.PrefaultPerTick, spec.Pages)
+						to := min(from+spec.PrefaultPerTick, spec.Pages)
+						for v := from; v < to; v++ {
+							want = append(want, p.regions[ri].region.Start+pagetable.VPN(v))
+						}
+					}
+					flooded += len(want)
+				} else {
+					for _, r := range ctx.mapped {
+						for v := r.Start; v < r.End(); v++ {
+							want = append(want, v)
+						}
+					}
+					churned += len(want)
+				}
+				if !slices.Equal(ctx.order, want) {
+					t.Fatalf("tick %d touched %d pages, want %d in order", tick, len(ctx.order), len(want))
+				}
+			}
+			if flooded == 0 || churned == 0 {
+				t.Fatalf("flooded %d pages and churned %d; both paths must run", flooded, churned)
+			}
+		})
 	}
 }
 
