@@ -17,7 +17,7 @@ func SimTickBenchConfig() MachineConfig {
 		Seed:     1,
 		Policy:   TPP(),
 		Workload: Workloads["Cache1"](8 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: TopologyCXL(2, 1),
 		Minutes:  1 << 30,
 	}
 }
@@ -67,12 +67,16 @@ func SimTickBenchTrackedConfig() MachineConfig {
 // simulated resident page.
 func SimTickBenchHugeConfig() MachineConfig {
 	return MachineConfig{
-		Seed:            1,
-		Policy:          TPP(),
-		Workload:        hugeBenchWorkload(),
-		LocalPages:      192 << 20,
-		CXLPages:        96 << 20,
-		HugePages:       true,
+		Seed:     1,
+		Policy:   TPP(),
+		Workload: hugeBenchWorkload(),
+		Topology: Topology{
+			Nodes: []TopologyNode{
+				{Kind: KindLocal, Pages: 192 << 20},
+				{Kind: KindCXL, Pages: 96 << 20},
+			},
+			HugePages: true,
+		},
 		Minutes:         1 << 30,
 		AccessesPerTick: 8192,
 	}

@@ -16,6 +16,7 @@ import (
 	"tppsim/internal/chameleon"
 	"tppsim/internal/core"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func main() {
 		Seed:            *seed,
 		Policy:          core.DefaultLinux(),
 		Workload:        ctor(*pages),
-		Ratio:           [2]uint64{1, 0}, // profile on an ordinary host
+		Topology:        tier.PresetCXL(1, 0), // profile on an ordinary host
 		Minutes:         *minutes,
 		EnableChameleon: true,
 		ChameleonConfig: chameleon.Config{SampleRate: *rate, CoreGroups: *groups},

@@ -55,8 +55,8 @@
 //
 // Fault injection: -faults takes a deterministic failure schedule
 // (internal/fault syntax) and prints the fault timeline after the run.
-// Recording a faulted run stores the schedule in the trace header (v6),
-// so replaying it reproduces the same faults:
+// Recording a faulted run stores the schedule in the trace header, so
+// replaying it reproduces the same faults:
 //
 //	tppsim -workload Web1 -policy tpp -topology expander -faults "offline:node=2,at=1200,until=2400" -nodes
 //	tppsim -workload Web1 -policy tpp -faults "latency:node=1,at=600,until=1800,mult=3;migfail:prob=0.2,at=600,until=1800;seed=42"
@@ -195,20 +195,20 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	var topo tier.Spec
+	topo := tier.PresetCXL(r0, r1)
 	if *topoName != "" {
 		spec, ok := tier.Preset(*topoName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown -topology %q; have %s\n", *topoName, strings.Join(tier.PresetNames(), ", "))
 			os.Exit(2)
 		}
-		if *topoName == tier.PresetNameCXL {
-			spec = tier.PresetCXL(r0, r1)
-		} else if set["ratio"] {
-			fmt.Fprintf(os.Stderr, "-ratio only applies to the cxl preset; %s has fixed shares\n", *topoName)
-			os.Exit(2)
+		if *topoName != tier.PresetNameCXL {
+			if set["ratio"] {
+				fmt.Fprintf(os.Stderr, "-ratio only applies to the cxl preset; %s has fixed shares\n", *topoName)
+				os.Exit(2)
+			}
+			topo = spec
 		}
-		topo = spec
 	}
 
 	policies, err := selectPolicies(*policy)
@@ -256,19 +256,19 @@ func main() {
 		traceMin := (tr.Ticks() + workload.TicksPerMinute - 1) / workload.TicksPerMinute
 		fmt.Printf("replaying %s: workload=%s pages=%d %d min (%d KB encoded)\n",
 			*replayF, h.Name, h.TotalPages, traceMin, tr.Size()/1024)
-		if len(topo.Nodes) == 0 && !set["ratio"] && h.Topology != nil {
+		if *topoName == "" && !set["ratio"] && h.Topology != nil {
 			// No explicit sizing: rebuild the recorded machine.
 			topo = *h.Topology
 			fmt.Printf("  machine from trace: %s (%d nodes)\n", topo.Name, len(topo.Nodes))
 		}
 		if *faultsFl == "" && h.Faults != nil {
-			// A v6 trace of a faulted run carries its schedule: replay it
+			// The trace of a faulted run carries its schedule: replay it
 			// too, so the replayed machine suffers the same faults.
 			faults = *h.Faults
 			fmt.Printf("  faults from trace: %s\n", faults.Spec())
 		}
 		if *trkSpec == "" && h.Tracker != "" {
-			// A v7 trace carries the recorded run's tracker spec: rebuild
+			// The trace carries the recorded run's tracker spec: rebuild
 			// the same observation plane unless -tracker overrides it.
 			if trkCfg, err = tracker.ParseSpec(h.Tracker); err != nil {
 				fmt.Fprintf(os.Stderr, "trace tracker spec: %v\n", err)
@@ -291,11 +291,12 @@ func main() {
 		}
 	}
 
+	topo.HugePages = *hugeFl
 	for _, p := range policies {
 		cfg := sim.Config{
 			Seed:             *seed,
 			Policy:           p,
-			HugePages:        *hugeFl,
+			Topology:         topo,
 			Minutes:          *minutes,
 			RecordTo:         *recordTo,
 			SampleEveryTicks: *sampleEv,
@@ -303,11 +304,6 @@ func main() {
 			ProbePhases:      *phaseFl,
 			Faults:           faults,
 			Tracker:          trkCfg,
-		}
-		if len(topo.Nodes) > 0 {
-			cfg.Topology = topo
-		} else {
-			cfg.Ratio = [2]uint64{r0, r1}
 		}
 		if tr != nil {
 			cfg.Workload = tr.Replayer(trace.ReplayOptions{Loop: *loop})
@@ -433,7 +429,7 @@ func runTraceStats(path, diffPath string, sampleEvery int, printPanel bool, csvP
 	}
 	h := tr.Header
 	fmt.Printf("%s: workload=%s format v%d, %d nodes, %d windows x %d ticks (levels: %v)\n",
-		path, h.Name, h.Version, s.Nodes(), s.Len(), s.Cadence(), s.HasLevels())
+		path, h.Name, trace.Version, s.Nodes(), s.Len(), s.Cadence(), s.HasLevels())
 	var labels []string
 	if h.Topology != nil && len(h.Topology.Nodes) == s.Nodes() {
 		labels = make([]string, s.Nodes())
@@ -451,7 +447,7 @@ func runTraceStats(path, diffPath string, sampleEvery int, printPanel bool, csvP
 			return err
 		}
 		fmt.Printf("%s: workload=%s format v%d, %d nodes, %d windows x %d ticks (levels: %v)\n",
-			diffPath, trB.Header.Name, trB.Header.Version, sB.Nodes(), sB.Len(), sB.Cadence(), sB.HasLevels())
+			diffPath, trB.Header.Name, trace.Version, sB.Nodes(), sB.Len(), sB.Cadence(), sB.HasLevels())
 		t, err := report.FlowDiffTable(s, sB, labels)
 		if err != nil {
 			return err

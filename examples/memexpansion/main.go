@@ -27,7 +27,7 @@ func main() {
 			Seed:     1,
 			Policy:   c.policy,
 			Workload: tppsim.Workloads["Cache1"](32 * 1024),
-			Ratio:    [2]uint64{1, 4},
+			Topology: tppsim.TopologyCXL(1, 4),
 			Minutes:  40,
 		})
 		if err != nil {

@@ -47,7 +47,7 @@ func main() {
 		Seed:            1,
 		Policy:          tppsim.DefaultLinux(),
 		Workload:        custom,
-		Ratio:           [2]uint64{1, 0}, // profile on an ordinary host
+		Topology:        tppsim.TopologyCXL(1, 0), // profile on an ordinary host
 		Minutes:         25,
 		EnableChameleon: true,
 		// The simulated access stream is pre-sampled, so PEBS's 1-in-200

@@ -15,7 +15,7 @@ func main() {
 			Seed:     1,
 			Policy:   policy,
 			Workload: tppsim.Workloads["Cache1"](32 * 1024), // 128 MB working set
-			Ratio:    [2]uint64{2, 1},                       // local:CXL capacity
+			Topology: tppsim.TopologyCXL(2, 1),              // local:CXL capacity
 			Minutes:  30,
 		})
 		if err != nil {

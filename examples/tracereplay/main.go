@@ -27,7 +27,7 @@ func main() {
 		Seed:     1,
 		Policy:   tppsim.DefaultLinux(), // the recording policy is irrelevant to the stream
 		Workload: tppsim.Workloads["Web1"](16 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: tppsim.TopologyCXL(2, 1),
 		Minutes:  20,
 	}
 	if _, err := tppsim.Record(cfg, path); err != nil {

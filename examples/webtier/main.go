@@ -14,12 +14,12 @@ import (
 	"tppsim/internal/vmstat"
 )
 
-func run(policy tppsim.Policy, ratio [2]uint64) *tppsim.Machine {
+func run(policy tppsim.Policy, topo tppsim.Topology) *tppsim.Machine {
 	m, err := tppsim.NewMachine(tppsim.MachineConfig{
 		Seed:     1,
 		Policy:   policy,
 		Workload: tppsim.Workloads["Web1"](32 * 1024),
-		Ratio:    ratio,
+		Topology: topo,
 		Minutes:  45,
 	})
 	if err != nil {
@@ -30,9 +30,9 @@ func run(policy tppsim.Policy, ratio [2]uint64) *tppsim.Machine {
 }
 
 func main() {
-	ideal := run(tppsim.DefaultLinux(), [2]uint64{1, 0})
-	def := run(tppsim.DefaultLinux(), [2]uint64{2, 1})
-	tpp := run(tppsim.TPP(), [2]uint64{2, 1})
+	ideal := run(tppsim.DefaultLinux(), tppsim.TopologyCXL(1, 0))
+	def := run(tppsim.DefaultLinux(), tppsim.TopologyCXL(2, 1))
+	tpp := run(tppsim.TPP(), tppsim.TopologyCXL(2, 1))
 
 	fmt.Println("Web1 on a 2:1 local:CXL machine (fraction of accesses served locally):")
 	fmt.Printf("%8s  %10s  %10s  %10s\n", "minute", "all-local", "default", "TPP")

@@ -20,7 +20,11 @@ type fixture struct {
 
 func newFixture(t *testing.T, cfg Config, localPages, cxlPages uint64) *fixture {
 	t.Helper()
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: localPages, CXLPages: cxlPages})
+	spec := tier.Spec{Nodes: []tier.NodeSpec{{Kind: mem.KindLocal, Pages: localPages}}}
+	if cxlPages > 0 {
+		spec.Nodes = append(spec.Nodes, tier.NodeSpec{Kind: mem.KindCXL, Pages: cxlPages})
+	}
+	topo, err := spec.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,10 @@ func Table4(o Options) Result {
 func X2(o Options) Result {
 	o = o.withDefaults()
 	pagesFreedPerTick := func(demotion bool) float64 {
-		topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 20000, CXLPages: 40000})
+		topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+			{Kind: mem.KindLocal, Pages: 20000},
+			{Kind: mem.KindCXL, Pages: 40000},
+		}}.Build(0, 0)
 		if err != nil {
 			panic(err)
 		}

@@ -117,7 +117,7 @@ func Fig16(o Options) Result {
 	for _, lat := range []float64{220, 240, 260, 280, 300} {
 		// Per-node override on node 1, the CXL node — the same sweep
 		// works on any topology by overriding the node under study.
-		mut := func(c *sim.Config) { c.NodeLatencyNs = []float64{0, lat} }
+		mut := func(c *sim.Config) { c.Topology.Nodes[1].LoadLatencyNs = lat }
 		_, def := run(o, core.DefaultLinux(), "Cache2", [2]uint64{2, 1}, mut)
 		_, tpp := run(o, core.TPP(), "Cache2", [2]uint64{2, 1}, mut)
 		dl := def.AvgLatencyNs - 100

@@ -20,6 +20,7 @@ import (
 	"tppsim/internal/metrics"
 	"tppsim/internal/report"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
@@ -201,13 +202,14 @@ func IDs() []string {
 	return out
 }
 
-// run executes one scenario and returns (machine, results).
+// run executes one scenario on the local:CXL ratio box and returns
+// (machine, results).
 func run(o Options, policy core.Policy, wlName string, ratio [2]uint64, cfgMut ...func(*sim.Config)) (*sim.Machine, *metrics.Run) {
 	cfg := sim.Config{
 		Seed:     o.Seed,
 		Policy:   policy,
 		Workload: workload.Catalog[wlName](o.Pages),
-		Ratio:    ratio,
+		Topology: tier.PresetCXL(ratio[0], ratio[1]),
 		Minutes:  o.Minutes,
 	}
 	for _, mut := range cfgMut {

@@ -105,7 +105,10 @@ func TestCompileDeterministicAndSorted(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 1024, CXLPages: 512})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: 1024},
+		{Kind: mem.KindCXL, Pages: 512},
+	}}.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,10 @@ func TestValidate(t *testing.T) {
 // used to wave through: NaN fails every comparison, and +Inf is above
 // any lower bound.
 func TestValidateRejectsNonFinite(t *testing.T) {
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 1024, CXLPages: 512})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: 1024},
+		{Kind: mem.KindCXL, Pages: 512},
+	}}.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +227,10 @@ func TestRetrierBackoffAndExhaustion(t *testing.T) {
 }
 
 func TestInvariantChecker(t *testing.T) {
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 64, CXLPages: 32})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: 64},
+		{Kind: mem.KindCXL, Pages: 32},
+	}}.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

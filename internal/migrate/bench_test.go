@@ -20,7 +20,10 @@ import (
 // successful migration; the engine must allocate nothing.
 func BenchmarkMigrate(b *testing.B) {
 	const batch = 1024
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 2 * batch, CXLPages: 2 * batch})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: 2 * batch},
+		{Kind: mem.KindCXL, Pages: 2 * batch},
+	}}.Build(0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,10 @@ type scanRig struct {
 func newScanRig(t *testing.T, newAS func() *pagetable.AddressSpace, seed int64) *scanRig {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 1024, CXLPages: 1024})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: 1024},
+		{Kind: mem.KindCXL, Pages: 1024},
+	}}.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +299,10 @@ func TestScanPoisonsBeyondOneBatch(t *testing.T) {
 	for _, tab := range scanTables[:2] {
 		t.Run(tab.name, func(t *testing.T) {
 			const pages = 2*poisonBatch*64 + 100
-			topo, err := tier.NewCXLSystem(tier.Config{LocalPages: 64, CXLPages: pages})
+			topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+				{Kind: mem.KindLocal, Pages: 64},
+				{Kind: mem.KindCXL, Pages: pages},
+			}}.Build(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +350,10 @@ func BenchmarkScan(b *testing.B) {
 		}{{"settled", 0}, {"sparse", 0.03}, {"cold", 1}} {
 			b.Run(tab.name+"/"+c.name, func(b *testing.B) {
 				const pages = 1 << 16
-				topo, err := tier.NewCXLSystem(tier.Config{LocalPages: pages / 5, CXLPages: pages})
+				topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+					{Kind: mem.KindLocal, Pages: pages / 5},
+					{Kind: mem.KindCXL, Pages: pages},
+				}}.Build(0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

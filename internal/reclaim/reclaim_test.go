@@ -25,7 +25,10 @@ type fixture struct {
 
 func newFixture(t testing.TB, cfg Config, localPages, cxlPages uint64, swapd *swap.Device) *fixture {
 	t.Helper()
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: localPages, CXLPages: cxlPages})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: localPages},
+		{Kind: mem.KindCXL, Pages: cxlPages},
+	}}.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

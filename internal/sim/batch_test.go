@@ -52,7 +52,7 @@ func TestBatchMatchesSequentialUnderPressure(t *testing.T) {
 		}
 		m, err := New(Config{
 			Seed: 11, Policy: core.DefaultLinux(), Workload: w,
-			LocalPages: 6000, CXLPages: 4000, Minutes: 8,
+			Topology: cxlPages(6000, 4000, false), Minutes: 8,
 			AccessesPerTick: accesses,
 		})
 		if err != nil {

@@ -12,15 +12,29 @@ import (
 	"tppsim/internal/workload"
 )
 
+// cxlPages is the paper's 2-node box in absolute pages, in 2 MB frames
+// when huge.
+func cxlPages(local, cxl uint64, huge bool) tier.Spec {
+	return tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: local},
+		{Kind: mem.KindCXL, Pages: cxl},
+	}, HugePages: huge}
+}
+
 // TestNewRejectsBadRunFields checks that New names the field of a
 // negative run length or rate, of a negative or non-finite scale, or of
-// a negative, non-finite or out-of-range per-node latency, instead of
-// building a machine that never ends, panics, charges negative or
-// infinite latency or drops the entry, and that zero entries and the
-// Fig. 16 latency override stay valid.
+// a negative or non-finite node latency, instead of building a machine
+// that never ends, panics, or charges negative or infinite latency, and
+// that zero defaults and the Fig. 16 latency override stay valid.
 func TestNewRejectsBadRunFields(t *testing.T) {
 	base := func() Config {
 		return Config{Seed: 1, Policy: core.TPP(), Workload: workload.Catalog["Cache1"](2048), Minutes: 1}
+	}
+	cxlLatency := func(ns float64) func(*Config) {
+		return func(c *Config) {
+			c.Topology = tier.PresetCXL(1, 4)
+			c.Topology.Nodes[1].LoadLatencyNs = ns
+		}
 	}
 	for _, c := range []struct {
 		field string
@@ -36,10 +50,11 @@ func TestNewRejectsBadRunFields(t *testing.T) {
 		{"AccessScale", func(c *Config) { c.AccessScale = math.Inf(1) }},
 		{"Slack", func(c *Config) { c.Slack = -0.1 }},
 		{"Slack", func(c *Config) { c.Slack = math.Inf(-1) }},
-		{"NodeLatencyNs[1]", func(c *Config) { c.Ratio, c.NodeLatencyNs = [2]uint64{1, 4}, []float64{0, math.Inf(1)} }},
-		{"NodeLatencyNs[0]", func(c *Config) { c.NodeLatencyNs = []float64{-100} }},
-		{"NodeLatencyNs[1]", func(c *Config) { c.NodeLatencyNs = []float64{0, math.NaN()} }},
-		{"NodeLatencyNs[2]", func(c *Config) { c.NodeLatencyNs = []float64{0, 300, 400} }},
+		{"node 1 load latency", cxlLatency(math.Inf(1))},
+		{"node 1 load latency", cxlLatency(math.NaN())},
+		{"node 0 load latency", func(c *Config) {
+			c.Topology = tier.Spec{Nodes: []tier.NodeSpec{{Kind: mem.KindLocal, Share: 1, LoadLatencyNs: -100}}}
+		}},
 	} {
 		cfg := base()
 		c.mut(&cfg)
@@ -49,7 +64,7 @@ func TestNewRejectsBadRunFields(t *testing.T) {
 	}
 	for name, mut := range map[string]func(*Config){
 		"zero defaults":   func(*Config) {},
-		"Fig. 16 latency": func(c *Config) { c.NodeLatencyNs = []float64{0, 300} },
+		"Fig. 16 latency": cxlLatency(300),
 	} {
 		cfg := base()
 		mut(&cfg)
@@ -59,33 +74,29 @@ func TestNewRejectsBadRunFields(t *testing.T) {
 	}
 }
 
-// TestNewRejectsTooManyFrames checks that New names the sizing field of
-// a machine with more frames than the page table can map, before it
-// allocates anything per frame, and builds a huge-page machine of the
-// same base-page size, whose frames are 512 times fewer.
+// TestNewRejectsTooManyFrames checks that New names the Topology of a
+// machine with more frames than the page table can map, whether its
+// nodes are sized by shares of the working set or in absolute pages,
+// before it allocates anything per frame, and builds a huge-page machine
+// of the same base-page size, whose frames are 512 times fewer.
 func TestNewRejectsTooManyFrames(t *testing.T) {
 	limit := uint64(pagetable.PFNLimit)
 	base := func() Config {
 		return Config{Seed: 1, Policy: core.TPP(), Workload: workload.Catalog["Cache1"](2048), Minutes: 1}
 	}
-	for _, c := range []struct {
-		field string
-		mut   func(*Config)
-	}{
-		{"LocalPages+CXLPages", func(c *Config) { c.LocalPages, c.CXLPages = limit/2, limit/2+1 }},
-		{"Topology", func(c *Config) {
-			c.Topology = tier.Spec{Nodes: []tier.NodeSpec{{Kind: mem.KindLocal, Pages: limit}}}
-		}},
+	for name, mut := range map[string]func(*Config){
+		"shares":         func(c *Config) { c.Workload = workload.Catalog["Cache1"](limit) },
+		"absolute pages": func(c *Config) { c.Topology = cxlPages(limit/2, limit/2+1, false) },
 	} {
 		cfg := base()
-		c.mut(&cfg)
-		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("%s: New error = %v, want one naming %s", c.field, err, c.field)
+		mut(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "Topology") {
+			t.Errorf("%s: New error = %v, want one naming Topology", name, err)
 		}
 	}
 	cfg := base()
-	cfg.LocalPages, cfg.CXLPages, cfg.HugePages = limit+1, 0, true
+	cfg.Topology = tier.Spec{Nodes: []tier.NodeSpec{{Kind: mem.KindLocal, Pages: limit + 1}}, HugePages: true}
 	if _, err := New(cfg); err != nil {
-		t.Errorf("huge machine of %d pages: %v", cfg.LocalPages, err)
+		t.Errorf("huge machine of %d pages: %v", limit+1, err)
 	}
 }

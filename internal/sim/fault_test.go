@@ -26,7 +26,7 @@ func TestFaultsDoNotPerturbRuns(t *testing.T) {
 		return Config{
 			Seed: 7, Policy: core.TPP(),
 			Workload:         workload.Catalog["Web1"](8 * 1024),
-			Ratio:            [2]uint64{2, 1},
+			Topology:         tier.PresetCXL(2, 1),
 			Minutes:          6,
 			SampleEveryTicks: 1,
 		}
@@ -193,7 +193,7 @@ func TestMigFailWindowCounters(t *testing.T) {
 	cfg := Config{
 		Seed: 7, Policy: core.TPP(),
 		Workload: workload.Catalog["Web1"](8 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: tier.PresetCXL(2, 1),
 		Minutes:  10,
 		Faults: fault.Schedule{Seed: 5, Events: []fault.Event{
 			{Kind: fault.MigFailBegin, Node: -1, At: 60, Until: 480, Prob: 0.5, MaxRetries: 2},
@@ -231,7 +231,7 @@ func TestFaultScheduleValidation(t *testing.T) {
 		cfg := Config{
 			Seed: 1, Policy: core.TPP(),
 			Workload: workload.Catalog["Web1"](4 * 1024),
-			Ratio:    [2]uint64{2, 1},
+			Topology: tier.PresetCXL(2, 1),
 			Minutes:  1,
 			Faults:   s,
 		}

@@ -305,7 +305,7 @@ func TestSeedDeterminismGolden(t *testing.T) {
 			wl := workload.Catalog[g.wl](16 * 1024)
 			m, err := New(Config{
 				Seed: 7, Policy: core.TPP(), Workload: wl,
-				Ratio: [2]uint64{2, 1}, Minutes: g.minutes,
+				Topology: tier.PresetCXL(2, 1), Minutes: g.minutes,
 			})
 			if err != nil {
 				t.Fatal(err)

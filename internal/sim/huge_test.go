@@ -31,13 +31,11 @@ func hugeTestWorkload() workload.Workload {
 
 func hugeTestConfig() Config {
 	return Config{
-		Seed:       7,
-		Policy:     core.TPP(),
-		Workload:   hugeTestWorkload(),
-		LocalPages: 128 * mem.HugeFramePages,
-		CXLPages:   256 * mem.HugeFramePages,
-		HugePages:  true,
-		Minutes:    3,
+		Seed:     7,
+		Policy:   core.TPP(),
+		Workload: hugeTestWorkload(),
+		Topology: cxlPages(128*mem.HugeFramePages, 256*mem.HugeFramePages, true),
+		Minutes:  3,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tppsim/internal/core"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
 )
@@ -19,7 +20,7 @@ func TestAllLocalMachineMovesNothing(t *testing.T) {
 			m, err := New(Config{
 				Seed: 3, Policy: p.New(),
 				Workload: workload.Catalog["Cache1"](8 << 10),
-				Ratio:    [2]uint64{1, 0},
+				Topology: tier.PresetCXL(1, 0),
 				Minutes:  10,
 			})
 			if err != nil {

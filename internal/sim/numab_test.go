@@ -7,6 +7,7 @@ import (
 	"tppsim/internal/mem"
 	"tppsim/internal/metrics"
 	"tppsim/internal/pagetable"
+	"tppsim/internal/tier"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
 )
@@ -24,7 +25,7 @@ func TestScanCandidateInvariant(t *testing.T) {
 		return Config{
 			Seed: 5, Policy: p,
 			Workload: workload.Catalog["Cache1"](8 << 10),
-			Ratio:    [2]uint64{2, 1},
+			Topology: tier.PresetCXL(2, 1),
 			Minutes:  10,
 		}
 	}
@@ -135,8 +136,8 @@ func TestHintFaultOncePerSlot(t *testing.T) {
 			}
 			m, err := New(Config{
 				Seed: 1, Policy: core.NUMABalancing(), Workload: wl,
-				LocalPages: 8 * mem.HugeFramePages, CXLPages: 8 * mem.HugeFramePages,
-				HugePages: c.huge, AccessesPerTick: 8, Minutes: 1,
+				Topology:        cxlPages(8*mem.HugeFramePages, 8*mem.HugeFramePages, c.huge),
+				AccessesPerTick: 8, Minutes: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"tppsim/internal/core"
 	"tppsim/internal/probe"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestProbesDoNotPerturbRuns(t *testing.T) {
 		return Config{
 			Seed: 7, Policy: core.TPP(),
 			Workload:         workload.Catalog["Web1"](8 * 1024),
-			Ratio:            [2]uint64{2, 1},
+			Topology:         tier.PresetCXL(2, 1),
 			Minutes:          6,
 			SampleEveryTicks: 1,
 		}

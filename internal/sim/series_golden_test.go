@@ -83,7 +83,7 @@ func TestSampledSeriesGolden(t *testing.T) {
 			if len(tc.topo.Nodes) > 0 {
 				cfg.Topology = tc.topo
 			} else {
-				cfg.Ratio = tc.ratio
+				cfg.Topology = tier.PresetCXL(tc.ratio[0], tc.ratio[1])
 			}
 			m, err := New(cfg)
 			if err != nil {
@@ -123,7 +123,7 @@ func TestSamplingDoesNotPerturbRuns(t *testing.T) {
 		m, err := New(Config{
 			Seed: 7, Policy: core.TPP(),
 			Workload:         workload.Catalog["Web1"](8 * 1024),
-			Ratio:            [2]uint64{2, 1},
+			Topology:         tier.PresetCXL(2, 1),
 			Minutes:          6,
 			SampleEveryTicks: sample,
 		})

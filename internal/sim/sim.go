@@ -58,31 +58,25 @@ type Config struct {
 	Workload workload.Workload
 
 	// Topology declares the machine: N nodes with per-node capacity
-	// (absolute pages or working-set ratio shares), kind, latency,
-	// bandwidth, and a distance matrix. Use the tier presets (PresetCXL,
-	// PresetDualSocket, PresetExpander) or build a custom Spec. Leaving
-	// it empty falls back to the legacy two-node sugar below.
+	// (absolute pages or working-set ratio shares), kind, load latency
+	// (the Fig. 16 sweep sets a node's LoadLatencyNs), bandwidth, a
+	// distance matrix, and the page size. Use the tier presets
+	// (PresetCXL(1, 4) for Table 1's 1:4 box, PresetCXL(1, 0) for the
+	// all-local baseline, PresetDualSocket, PresetExpander) or build a
+	// custom Spec. A spec with no nodes gets PresetCXL(2, 1)'s nodes, the
+	// paper's 2:1 box, and keeps its own HugePages.
+	//
+	// Topology.HugePages backs the machine with 2 MB huge pages over an
+	// extent-compressed page table: aligned 512-page frames allocate,
+	// translate, migrate, and age as single units (one LRU entry, one
+	// migration charge, hint-fault sampling at huge granularity), and
+	// simulator state shrinks ~512x per resident page — the
+	// terabyte-scale configuration.
 	Topology tier.Spec
-
-	// Legacy node sizing for the paper's 2-node box, kept as sugar over
-	// Topology (deprecated: prefer Topology). Either set
-	// LocalPages/CXLPages explicitly, or give a Ratio (e.g. {2,1} or
-	// {1,4}) to derive them from the workload's working set with Slack
-	// headroom. Ratio {1,0} builds the all-local baseline. Mutually
-	// exclusive with Topology.
-	LocalPages uint64
-	CXLPages   uint64
-	Ratio      [2]uint64
-	// Slack is the capacity headroom over the working set (default 0.08;
-	// the paper: "the whole system has enough memory").
+	// Slack is the capacity headroom of the Topology's share-sized nodes
+	// over the working set (default 0.08; the paper: "the whole system
+	// has enough memory"). Absolute-page nodes ignore it.
 	Slack float64
-	// CXLLatencyNs overrides the CXL load latency on the legacy 2-node
-	// machine (deprecated: prefer NodeLatencyNs, which works on any
-	// topology).
-	CXLLatencyNs float64
-	// NodeLatencyNs overrides per-node load latency, indexed by node ID;
-	// zero entries keep the node's default (the Fig. 16 sweep, per node).
-	NodeLatencyNs []float64
 
 	// Minutes is the run length in simulated minutes (default 60).
 	Minutes int
@@ -92,15 +86,6 @@ type Config struct {
 	// access represents (default 100). Per-page event costs (faults,
 	// migrations, stalls) are amortized over the real rate.
 	AccessScale float64
-
-	// HugePages backs the machine with 2 MB huge pages over an
-	// extent-compressed page table: aligned 512-page frames allocate,
-	// translate, migrate, and age as single units (one LRU entry, one
-	// migration charge, hint-fault sampling at huge granularity), and
-	// simulator state shrinks ~512x per resident page — the
-	// terabyte-scale configuration. Equivalent to Topology.HugePages.
-	// Off — the default — keeps runs bit-identical to previous builds.
-	HugePages bool
 
 	// RecordEveryTicks sets the series resolution (default 30).
 	RecordEveryTicks int
@@ -156,16 +141,15 @@ type Config struct {
 	// schedule (the default) leaves runs bit- and alloc-identical to a
 	// machine built without the plane, and a fixed machine seed plus a
 	// fixed schedule reproduces identical faulted runs. Recorded traces
-	// (v6) carry the schedule, so replays rebuild the same faults.
+	// carry the schedule, so replays rebuild the same faults.
 	Faults fault.Schedule
 }
 
 // validate rejects negative run-length and rate fields and non-finite
-// scales and latencies, which no run can use: a negative Minutes would
-// never end, a negative AccessesPerTick or SampleBudget panics, and a
-// negative AccessScale or an infinite NodeLatencyNs entry charges
-// negative or infinite latency. Zero means "default" for every field
-// checked.
+// scales, which no run can use: a negative Minutes would never end, a
+// negative AccessesPerTick or SampleBudget panics, and a negative
+// AccessScale charges negative latency. Zero means "default" for every
+// field checked. Topology.Build checks the machine's own values.
 func (c Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -192,11 +176,6 @@ func (c Config) validate() error {
 			return fmt.Errorf("sim: %s is %v; want a finite value >= 0 (0 means the default)", f.name, f.v)
 		}
 	}
-	for i, ns := range c.NodeLatencyNs {
-		if ns < 0 || math.IsNaN(ns) || math.IsInf(ns, 0) {
-			return fmt.Errorf("sim: NodeLatencyNs[%d] is %v; want a finite latency >= 0 ns (0 keeps the node's default)", i, ns)
-		}
-	}
 	return nil
 }
 
@@ -216,8 +195,10 @@ func (c Config) withDefaults() Config {
 	if c.Slack == 0 {
 		c.Slack = 0.08
 	}
-	if len(c.Topology.Nodes) == 0 && c.Ratio == [2]uint64{} && c.LocalPages == 0 {
-		c.Ratio = [2]uint64{2, 1}
+	if len(c.Topology.Nodes) == 0 {
+		huge := c.Topology.HugePages
+		c.Topology = tier.PresetCXL(2, 1)
+		c.Topology.HugePages = huge
 	}
 	return c
 }
@@ -266,11 +247,10 @@ type Machine struct {
 	// Per-(home CPU, resident node) load-latency matrix cached from the
 	// topology (flattened row-major) so the access hot path is one
 	// multiply and two slice indexes instead of pointer-chasing through
-	// Topology. Sweeps configure latencies via
-	// Config.CXLLatencyNs/NodeLatencyNs before assembly; only the fault
-	// plane's latency-degradation edges change them mid-run, and each
-	// edge calls refreshLatMat. On single-socket machines row 0 is the
-	// only row read.
+	// Topology. Sweeps set node latencies in Config.Topology before
+	// assembly; only the fault plane's latency-degradation edges change
+	// them mid-run, and each edge calls refreshLatMat. On single-socket
+	// machines row 0 is the only row read.
 	latMat    []float64
 	nNodes    int
 	nodeLocal []bool
@@ -286,10 +266,10 @@ type Machine struct {
 	prevPromote uint64
 	prevDemote  uint64
 
-	// Huge-page mode (Config.HugePages / Topology.HugePages): every PFN
-	// is a 2 MB frame of framePages base pages over an extent page
-	// table. prevSplits/prevMerges carry the extent-table churn into the
-	// vmstat extent_split/extent_merge counters per tick.
+	// Huge-page mode (Config.Topology.HugePages): every PFN is a 2 MB
+	// frame of framePages base pages over an extent page table.
+	// prevSplits/prevMerges carry the extent-table churn into the vmstat
+	// extent_split/extent_merge counters per tick.
 	huge       bool
 	frameShift uint
 	framePages uint64
@@ -331,37 +311,9 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 	}
-	var topo *tier.Topology
-	var err error
-	if len(cfg.Topology.Nodes) > 0 {
-		if cfg.Ratio != [2]uint64{} || cfg.LocalPages != 0 || cfg.CXLPages != 0 {
-			return nil, fmt.Errorf("sim: Topology and the legacy Ratio/LocalPages/CXLPages sizing are mutually exclusive")
-		}
-		if cfg.CXLLatencyNs != 0 {
-			return nil, fmt.Errorf("sim: CXLLatencyNs only applies to the legacy 2-node machine; use NodeLatencyNs with Topology")
-		}
-		topo, err = cfg.Topology.Build(cfg.Workload.TotalPages(), cfg.Slack)
-	} else {
-		local, cxl := cfg.LocalPages, cfg.CXLPages
-		if local == 0 {
-			local, cxl = tier.RatioPages(cfg.Workload.TotalPages(), cfg.Ratio[0], cfg.Ratio[1], cfg.Slack)
-		}
-		topo, err = tier.NewCXLSystem(tier.Config{
-			LocalPages:   local,
-			CXLPages:     cxl,
-			CXLLatencyNs: cfg.CXLLatencyNs,
-		})
-	}
+	topo, err := cfg.Topology.Build(cfg.Workload.TotalPages(), cfg.Slack)
 	if err != nil {
 		return nil, err
-	}
-	if n := len(cfg.NodeLatencyNs); n > topo.NumNodes() {
-		return nil, fmt.Errorf("sim: NodeLatencyNs[%d] is past the machine's %d nodes", n-1, topo.NumNodes())
-	}
-	for i, ns := range cfg.NodeLatencyNs {
-		if ns > 0 {
-			topo.SetLatency(mem.NodeID(i), ns)
-		}
 	}
 	if err := cfg.Faults.Validate(topo); err != nil {
 		return nil, err
@@ -370,7 +322,7 @@ func New(cfg Config) (*Machine, error) {
 	// Huge-page mode sizes the store in frames (512 base pages per PFN)
 	// and swaps the dense page table for the extent representation; off,
 	// both choices reduce to exactly the previous machine.
-	huge := cfg.HugePages || topo.HugePages()
+	huge := topo.HugePages()
 	frameShift := uint(0)
 	if huge {
 		frameShift = mem.HugeFrameShift
@@ -379,14 +331,7 @@ func New(cfg Config) (*Machine, error) {
 	// The store numbers frames from PFN 0, and the page table maps PFNs
 	// below PFNLimit only.
 	if frames := (topo.TotalCapacity() + framePages - 1) >> frameShift; frames >= uint64(pagetable.PFNLimit) {
-		field := "Topology"
-		if len(cfg.Topology.Nodes) == 0 {
-			field = "LocalPages+CXLPages"
-			if cfg.LocalPages == 0 {
-				field = "Workload" // sized by Ratio from its TotalPages
-			}
-		}
-		return nil, fmt.Errorf("sim: %s gives the machine %d frames; it must have fewer than %d", field, frames, pagetable.PFNLimit)
+		return nil, fmt.Errorf("sim: Topology gives the machine %d frames; it must have fewer than %d", frames, pagetable.PFNLimit)
 	}
 	m := &Machine{
 		cfg:        cfg,
@@ -464,8 +409,8 @@ func New(cfg Config) (*Machine, error) {
 
 	if cfg.RecordTo != "" {
 		// The header records the resolved machine so a replay can rebuild
-		// it exactly (tppsim.Replay adopts it when the caller specifies no
-		// sizing of its own).
+		// it exactly (tppsim.Replay adopts it when the caller's Topology
+		// has no nodes).
 		h := trace.HeaderFor(cfg.Workload)
 		spec := topo.Spec()
 		h.Topology = &spec

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tppsim/internal/core"
+	"tppsim/internal/tier"
 	"tppsim/internal/workload"
 )
 
@@ -15,7 +16,7 @@ func smokeRun(t *testing.T, policy core.Policy, wlName string, ratio [2]uint64, 
 		Seed:     1,
 		Policy:   policy,
 		Workload: wl,
-		Ratio:    ratio,
+		Topology: tier.PresetCXL(ratio[0], ratio[1]),
 		Minutes:  minutes,
 	})
 	if err != nil {

@@ -104,8 +104,8 @@ func TestHugeTouchRangeMatchesTouches(t *testing.T) {
 		{"dense/Web1-direct-reclaim", func() Config {
 			return Config{
 				Seed: 11, Policy: core.DefaultLinux(),
-				Workload:   workload.Catalog["Web1"](16 * 1024),
-				LocalPages: 6000, CXLPages: 4000, Minutes: 8,
+				Workload: workload.Catalog["Web1"](16 * 1024),
+				Topology: cxlPages(6000, 4000, false), Minutes: 8,
 				RecordEveryTicks: 1,
 			}
 		}, func(m *Machine) string {
@@ -125,7 +125,7 @@ func TestHugeTouchRangeMatchesTouches(t *testing.T) {
 				},
 			}
 			// Sized so the fault that runs out of memory is a's.
-			cfg.LocalPages, cfg.CXLPages = 48*fp, 23*fp
+			cfg.Topology = cxlPages(48*fp, 23*fp, true)
 		}), func(m *Machine) string {
 			if failed, why := m.Failed(); !failed || m.Tick() >= 60 {
 				return "the flood did not run out of memory: " + why
@@ -186,7 +186,7 @@ func TestHugeTouchRangeFailsAsTouches(t *testing.T) {
 				TM:    metrics.ThroughputModel{CPUServiceNs: 400, StallsPerOp: 1},
 				Specs: []workload.RegionSpec{{Name: "heap", Type: mem.Anon, Pages: 2*fp + 100, Weight: 1}},
 			},
-			LocalPages: 8 * fp, CXLPages: 4 * fp, HugePages: true,
+			Topology: cxlPages(8*fp, 4*fp, true),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,7 @@ func TestTrackersDoNotPerturbRuns(t *testing.T) {
 		return Config{
 			Seed: 7, Policy: core.TPP(),
 			Workload:         workload.Catalog["Web1"](8 * 1024),
-			Ratio:            [2]uint64{2, 1},
+			Topology:         tier.PresetCXL(2, 1),
 			Minutes:          6,
 			SampleEveryTicks: 1,
 		}
@@ -292,7 +292,7 @@ func TestTrackerAccuracyOracle(t *testing.T) {
 		m, err := New(Config{
 			Seed: 7, Policy: core.TPP(),
 			Workload: workload.Catalog["PhaseShift"](8 * 1024),
-			Ratio:    [2]uint64{2, 1},
+			Topology: tier.PresetCXL(2, 1),
 			Minutes:  8,
 			Tracker:  tracker.Config{Kind: kind, Oracle: true},
 		})

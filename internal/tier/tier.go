@@ -197,10 +197,6 @@ func (t *Topology) Nodes() []*mem.Node { return t.nodes }
 // Traits returns the traits of the given node.
 func (t *Topology) Traits(id mem.NodeID) Traits { return t.traits[id] }
 
-// SetLatency overrides the load latency of a node; used by the Fig. 16
-// CXL-latency sweep.
-func (t *Topology) SetLatency(id mem.NodeID, ns float64) { t.traits[id].LoadLatency = ns }
-
 // Distance returns the NUMA distance between two nodes.
 func (t *Topology) Distance(a, b mem.NodeID) int { return t.distance[a][b] }
 
@@ -279,7 +275,7 @@ func (t *Topology) SetOffline(id mem.NodeID, off bool) {
 
 // SetLatencyScale sets a node's fault-plane latency multiplier; 1 (or
 // any value <= 0) restores health. Scaled latency is visible to
-// AccessLatency; Traits and SetLatency stay unscaled.
+// AccessLatency; Traits stay unscaled.
 func (t *Topology) SetLatencyScale(id mem.NodeID, scale float64) {
 	if scale <= 0 {
 		scale = 1
@@ -507,9 +503,8 @@ func (t *Topology) TotalCapacity() uint64 {
 // Spec returns a declarative description of the assembled machine:
 // absolute per-node capacities, traits, and the distance matrix.
 // Building the returned spec reproduces this topology exactly (for
-// machines assembled via Spec.Build or NewCXLSystem, which record their
-// demote scale factor; hand-assembled topologies serialize with the
-// default factor). Trace headers record it so replays can rebuild the
+// machines assembled via Spec.Build, which records the demote scale
+// factor; hand-assembled topologies serialize with the default factor). Trace headers record it so replays can rebuild the
 // recorded machine.
 func (t *Topology) Spec() Spec {
 	s := Spec{
@@ -542,7 +537,7 @@ type NodeSpec struct {
 	// Share sizes the node proportionally at Build time: nodes with
 	// shares split the working set (grown by the slack headroom, minus
 	// any absolute-Pages nodes) in share proportion — the N-node
-	// generalization of the legacy local:CXL Ratio.
+	// generalization of PresetCXL's local:CXL ratio.
 	Share uint64
 	// LoadLatencyNs overrides the kind's default load latency
 	// (local DRAM 100 ns, CXL 220 ns); 0 keeps the default.
@@ -573,8 +568,8 @@ type Spec struct {
 	// allocates, translates, migrates, and ages aligned 512-page frames
 	// as single units over an extent-compressed page table, which is
 	// what makes terabyte-scale machines simulable in bounded memory.
-	// Node capacities stay in base pages. Not serialized into trace
-	// headers (huge-page runs model scale, not byte-exact replay).
+	// Node capacities stay in base pages. Trace headers do not carry
+	// it: a replay takes it from the caller's spec.
 	HugePages bool
 }
 
@@ -646,9 +641,9 @@ func (s Spec) Build(workingSetPages uint64, slack float64) (*Topology, error) {
 		if total <= absSum {
 			return nil, fmt.Errorf("tier: spec %q absolute nodes (%d pages) consume the whole working set (%d)", s.Name, absSum, total)
 		}
-		// Cumulative split so the shares sum exactly to the budget; the
-		// two-node {2,1} case reproduces the legacy RatioPages arithmetic
-		// bit for bit.
+		// Cumulative split so the shares sum exactly to the budget: on
+		// PresetCXL(l, c) the local node gets budget*l/(l+c) pages and
+		// the CXL node the rest.
 		budget := total - absSum
 		var given, shareSeen uint64
 		for i, n := range s.Nodes {
@@ -739,7 +734,8 @@ func Preset(name string) (Spec, bool) {
 // PresetCXL is the paper's target machine as a spec: one CPU-attached
 // local node and one CPU-less CXL node sized localShare:cxlShare over the
 // working set. cxlShare == 0 yields the single-node all-local baseline.
-// Building it is equivalent to the legacy Ratio sugar.
+// It is the machine sim.Config describes when its Topology has no nodes
+// (at 2:1).
 func PresetCXL(localShare, cxlShare uint64) Spec {
 	s := Spec{
 		Name:  PresetNameCXL,
@@ -799,50 +795,4 @@ func PresetExpander(localShare, nearShare, farShare uint64) Spec {
 			{40, 30, 10},
 		},
 	}
-}
-
-// Config describes a machine to build with the standard constructors.
-type Config struct {
-	// LocalPages and CXLPages size the two tiers. CXLPages == 0 builds the
-	// all-local baseline machine.
-	LocalPages uint64
-	CXLPages   uint64
-	// CXLLatencyNs overrides the CXL load latency (0 means the 220 ns
-	// default).
-	CXLLatencyNs float64
-	// DemoteScaleFactor is the /proc/sys/vm/demote_scale_factor analogue
-	// (0 means the 2% default).
-	DemoteScaleFactor float64
-}
-
-// NewCXLSystem builds the paper's target machine: one CPU-attached local
-// node (node 0) and one CPU-less CXL node (node 1), with distances
-// mirroring a local/remote NUMA pair. With cfg.CXLPages == 0 it builds the
-// single-node baseline ("all memory in the local tier"). It is the
-// absolute-pages form of PresetCXL; both are sugar over Spec.Build.
-func NewCXLSystem(cfg Config) (*Topology, error) {
-	if cfg.LocalPages == 0 {
-		return nil, fmt.Errorf("tier: LocalPages must be positive")
-	}
-	spec := Spec{
-		Name:              PresetNameCXL,
-		DemoteScaleFactor: cfg.DemoteScaleFactor,
-		Nodes:             []NodeSpec{{Kind: mem.KindLocal, Pages: cfg.LocalPages}},
-	}
-	if cfg.CXLPages > 0 {
-		spec.Nodes = append(spec.Nodes, NodeSpec{
-			Kind: mem.KindCXL, Pages: cfg.CXLPages, LoadLatencyNs: cfg.CXLLatencyNs,
-		})
-	}
-	return spec.Build(0, 0)
-}
-
-// RatioPages splits a total working-set size into (local, cxl) capacities
-// for a local:cxl ratio such as 2:1 or 1:4, with a small slack factor so
-// the machine has the paper's "enough memory to support the workload".
-func RatioPages(totalWorkingSet uint64, localShare, cxlShare uint64, slack float64) (local, cxl uint64) {
-	total := uint64(float64(totalWorkingSet) * (1 + slack))
-	local = total * localShare / (localShare + cxlShare)
-	cxl = total - local
-	return local, cxl
 }

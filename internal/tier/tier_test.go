@@ -9,17 +9,27 @@ import (
 	"tppsim/internal/mem"
 )
 
-func mustCXL(t *testing.T, cfg Config) *Topology {
+// cxlSpec is the paper's 2-node box in absolute pages: a local node and,
+// when cxl > 0, a CXL node.
+func cxlSpec(local, cxl uint64) Spec {
+	s := Spec{Name: PresetNameCXL, Nodes: []NodeSpec{{Kind: mem.KindLocal, Pages: local}}}
+	if cxl > 0 {
+		s.Nodes = append(s.Nodes, NodeSpec{Kind: mem.KindCXL, Pages: cxl})
+	}
+	return s
+}
+
+func mustCXL(t *testing.T, local, cxl uint64) *Topology {
 	t.Helper()
-	topo, err := NewCXLSystem(cfg)
+	topo, err := cxlSpec(local, cxl).Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return topo
 }
 
-func TestNewCXLSystem(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 1000, CXLPages: 500})
+func TestCXLMachine(t *testing.T) {
+	topo := mustCXL(t, 1000, 500)
 	if topo.NumNodes() != 2 {
 		t.Fatalf("NumNodes = %d", topo.NumNodes())
 	}
@@ -38,7 +48,7 @@ func TestNewCXLSystem(t *testing.T) {
 }
 
 func TestBaselineSingleNode(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 1000})
+	topo := mustCXL(t, 1000, 0)
 	if topo.NumNodes() != 1 {
 		t.Fatalf("baseline NumNodes = %d", topo.NumNodes())
 	}
@@ -51,18 +61,19 @@ func TestBaselineSingleNode(t *testing.T) {
 }
 
 func TestLatencyOverride(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 10, CXLPages: 10, CXLLatencyNs: 300})
-	if topo.Traits(1).LoadLatency != 300 {
-		t.Fatal("CXLLatencyNs ignored")
+	spec := cxlSpec(10, 10)
+	spec.Nodes[1].LoadLatencyNs = 300
+	topo, err := spec.Build(0, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	topo.SetLatency(1, 250)
-	if topo.Traits(1).LoadLatency != 250 {
-		t.Fatal("SetLatency ignored")
+	if topo.Traits(1).LoadLatency != 300 {
+		t.Fatal("LoadLatencyNs ignored")
 	}
 }
 
 func TestDemotionAndPromotionTargets(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 100, CXLPages: 50})
+	topo := mustCXL(t, 100, 50)
 	if got := topo.DemotionTarget(0); got != 1 {
 		t.Fatalf("DemotionTarget = %d", got)
 	}
@@ -105,7 +116,7 @@ func TestPromotionTargetPicksLowestPressure(t *testing.T) {
 }
 
 func TestFallbackOrder(t *testing.T) {
-	topo := mustCXL(t, Config{LocalPages: 10, CXLPages: 10})
+	topo := mustCXL(t, 10, 10)
 	order := topo.FallbackOrder(0)
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("FallbackOrder(0) = %v", order)
@@ -193,25 +204,12 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestRatioPages(t *testing.T) {
-	local, cxl := RatioPages(3000, 2, 1, 0)
-	if local != 2000 || cxl != 1000 {
-		t.Fatalf("2:1 split = %d:%d", local, cxl)
-	}
-	local, cxl = RatioPages(5000, 1, 4, 0)
-	if local != 1000 || cxl != 4000 {
-		t.Fatalf("1:4 split = %d:%d", local, cxl)
-	}
-	// Slack grows the total.
-	local, cxl = RatioPages(1000, 1, 1, 0.1)
-	if local+cxl != 1100 {
-		t.Fatalf("slack total = %d", local+cxl)
-	}
-}
-
 func TestZeroLocalRejected(t *testing.T) {
-	if _, err := NewCXLSystem(Config{}); err == nil {
+	if _, err := cxlSpec(0, 10).Build(0, 0); err == nil {
 		t.Fatal("zero local pages accepted")
+	}
+	if _, err := PresetCXL(1, 4).Build(4, 0); err == nil {
+		t.Fatal("a working set too small for one local page accepted")
 	}
 }
 
@@ -271,17 +269,47 @@ func TestSpecRejectsNonFiniteValues(t *testing.T) {
 			}
 		}
 	}
-	if _, err := NewCXLSystem(Config{LocalPages: 10, CXLPages: 10, CXLLatencyNs: math.Inf(1)}); err == nil {
-		t.Error("NewCXLSystem accepted an infinite CXL latency")
+}
+
+// ratioSplit is the plain local:CXL ratio arithmetic that PresetCXL's
+// share split, which sizes Table 1's machines, must reproduce:
+// total = floor(ws*(1+slack)), local = total*l/(l+c), cxl = total-local.
+func ratioSplit(ws, l, c uint64, slack float64) (local, cxl uint64) {
+	total := uint64(float64(ws) * (1 + slack))
+	local = total * l / (l + c)
+	return local, total - local
+}
+
+// TestRatioPages checks the ratio arithmetic, and PresetCXL's machines,
+// on hand-computed splits.
+func TestRatioPages(t *testing.T) {
+	for _, c := range []struct {
+		ws, l, c   uint64
+		slack      float64
+		local, cxl uint64
+	}{
+		{3000, 2, 1, 0, 2000, 1000},
+		{5000, 1, 4, 0, 1000, 4000},
+		{1000, 1, 1, 0.1, 550, 550}, // slack grows the total
+	} {
+		if local, cxl := ratioSplit(c.ws, c.l, c.c, c.slack); local != c.local || cxl != c.cxl {
+			t.Fatalf("ratioSplit %d:%d of %d (slack %v) = %d:%d, want %d:%d", c.l, c.c, c.ws, c.slack, local, cxl, c.local, c.cxl)
+		}
+		topo, err := PresetCXL(c.l, c.c).Build(c.ws, c.slack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if local, cxl := topo.Node(0).Capacity, topo.Node(1).Capacity; local != c.local || cxl != c.cxl {
+			t.Errorf("PresetCXL(%d, %d) of %d (slack %v) = %d:%d, want %d:%d", c.l, c.c, c.ws, c.slack, local, cxl, c.local, c.cxl)
+		}
 	}
 }
 
 func TestSpecShareSplitMatchesRatioPages(t *testing.T) {
-	// The spec share split must reproduce the legacy RatioPages
-	// arithmetic bit for bit — the default machine's sizing is pinned by
-	// the seed-determinism golden test.
+	// The default machine's sizing is pinned by the seed-determinism
+	// golden test.
 	for _, c := range [][2]uint64{{2, 1}, {1, 4}, {3, 2}} {
-		wantLocal, wantCXL := RatioPages(16*1024, c[0], c[1], 0.08)
+		wantLocal, wantCXL := ratioSplit(16*1024, c[0], c[1], 0.08)
 		topo, err := PresetCXL(c[0], c[1]).Build(16*1024, 0.08)
 		if err != nil {
 			t.Fatal(err)
@@ -292,6 +320,47 @@ func TestSpecShareSplitMatchesRatioPages(t *testing.T) {
 		if got := topo.Node(1).Capacity; got != wantCXL {
 			t.Errorf("%d:%d cxl = %d, want %d", c[0], c[1], got, wantCXL)
 		}
+	}
+}
+
+// TestPresetCXLMatchesRatioSizing pins PresetCXL's share split to
+// ratioSplit over a grid of ratios, slacks and working sets, with one
+// node when c == 0. Every machine on the grid must match it node for
+// node, and Build must fail exactly where that local node is empty.
+func TestPresetCXLMatchesRatioSizing(t *testing.T) {
+	built := 0
+	for _, r := range [][2]uint64{{2, 1}, {1, 4}, {1, 0}, {1, 1}, {4, 1}, {3, 7}} {
+		for _, slack := range []float64{0, 0.08, 0.1, 0.25} {
+			for ws := uint64(1); ws <= 200_000; ws += ws/4 + 1 {
+				local, cxl := ratioSplit(ws, r[0], r[1], slack)
+				topo, err := PresetCXL(r[0], r[1]).Build(ws, slack)
+				if local == 0 {
+					if err == nil {
+						t.Errorf("%d:%d ws=%d slack=%v: built a machine with no local pages", r[0], r[1], ws, slack)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%d:%d ws=%d slack=%v: %v", r[0], r[1], ws, slack, err)
+					continue
+				}
+				built++
+				want := []uint64{local}
+				if r[1] > 0 {
+					want = append(want, cxl)
+				}
+				var got []uint64
+				for _, n := range topo.Nodes() {
+					got = append(got, n.Capacity)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d:%d ws=%d slack=%v: node pages %v, want %v", r[0], r[1], ws, slack, got, want)
+				}
+			}
+		}
+	}
+	if built < 500 {
+		t.Fatalf("only %d machines built; the grid is thinner than intended", built)
 	}
 }
 

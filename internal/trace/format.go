@@ -18,19 +18,19 @@
 //
 //	header:
 //	  magic      8 bytes  "TPPTRACE"
-//	  version    varint   currently 2
+//	  version    varint   Version (7), the only version read or written
 //	  name       varint length + UTF-8 bytes (workload display name)
 //	  cpuns      8 bytes  float64 ThroughputModel.CPUServiceNs
 //	  stalls     8 bytes  float64 ThroughputModel.StallsPerOp
 //	  pages      varint   workload TotalPages (machine sizing)
 //	  warmup     varint   workload WarmupTicks
-//	  topo       (v2+)    1 presence byte; when 1, the resolved machine
+//	  topo                1 presence byte; when 1, the resolved machine
 //	                      topology: name (varint length + bytes), demote
 //	                      scale factor (float64), node count (varint),
 //	                      then per node kind byte + capacity varint +
 //	                      latency float64 + bandwidth float64, then the
 //	                      row-major distance matrix as varints
-//	  faults     (v6+)    1 presence byte; when 1, the fault schedule the
+//	  faults              1 presence byte; when 1, the fault schedule the
 //	                      run was recorded with: seed varint, event count
 //	                      varint, then per event kind byte, node (zigzag
 //	                      varint; -1 = machine-wide), at varint, until
@@ -38,10 +38,11 @@
 //	                      float64, retries varint, pages varint — enough
 //	                      for a replay to rebuild and re-apply the
 //	                      identical schedule
+//	  tracker             varint length + bytes: the tracker-plane spec
+//	                      the run was recorded with (empty when off)
 //
-// Version-1 traces carry no topology block and load as before. Version
-// 5 is reserved for per-node free-page/watermark levels (a ROADMAP
-// carry-over); readers treat v5 streams exactly like v4.
+// A trace of any other version fails to load with an error that names
+// its version and says to re-record it.
 //
 //	event: 1 opcode byte + operands
 //	  OpMmap     (0x01)  start varint, pages varint, type byte,
@@ -49,20 +50,20 @@
 //	  OpMunmap   (0x02)  start varint, pages varint, type byte
 //	  OpTouch    (0x03)  zigzag varint delta of VPN vs. previous Touch/Access
 //	  OpAccess   (0x04)  same encoding; an access of the tick's drawn batch
-//	  OpTickEnd  (0x05)  closes one simulated tick. v3+: a varint node
-//	                     count (0 = no per-node data), then per node a
-//	                     varint pair count followed by (counter byte,
-//	                     delta varint) pairs — the non-zero per-node
-//	                     vmstat counter deltas the recorded machine
-//	                     accumulated during the tick. v4+ (when the node
-//	                     count is non-zero): one presence byte, then —
-//	                     when 1 — per node three varints (resident,
-//	                     anon, file pages) — the node's residency levels
-//	                     at the tick's end, which trace.Stats folds into
-//	                     the series plane's level columns
+//	  OpTickEnd  (0x05)  closes one simulated tick: a varint node count
+//	                     (0 = no per-node data), then per node a varint
+//	                     pair count followed by (counter byte, delta
+//	                     varint) pairs — the non-zero per-node vmstat
+//	                     counter deltas the recorded machine accumulated
+//	                     during the tick. When the node count is
+//	                     non-zero: one presence byte, then — when 1 —
+//	                     per node three varints (resident, anon, file
+//	                     pages) — the node's residency levels at the
+//	                     tick's end, which trace.Stats folds into the
+//	                     series plane's level columns
 //	  OpStartEnd (0x06)  closes the Start (setup) section
-//	  OpEnd      (0x07)  closes the stream (v2+; written by Close)
-//	  OpFault    (0x08)  (v6+) one applied fault edge: kind byte, node
+//	  OpEnd      (0x07)  closes the stream (written by Close)
+//	  OpFault    (0x08)  one applied fault edge: kind byte, node
 //	                     zigzag varint, tick varint, arg float64,
 //	                     retries varint, pages varint. Informational —
 //	                     replays rebuild faults from the header schedule
@@ -71,13 +72,12 @@
 //
 // The stream grammar is: start-section events, OpStartEnd, then per tick
 // any housekeeping events (mmap/munmap/touch), the tick's accesses, and
-// OpTickEnd; version-2+ streams end with OpEnd, so a trace truncated
-// even exactly on an event boundary is detected as malformed rather than
-// silently replaying short. Version-2 traces carry bare tick markers and
-// still load; replays ignore the v3 deltas either way (they describe the
-// recorded machine, not the replaying one), so replay results are
-// unchanged across versions. Touch/Access VPNs are delta-encoded against the previous
-// Touch/Access VPN, which keeps hot-set streams to ~2 bytes per event.
+// OpTickEnd; the stream ends with OpEnd, so a trace truncated even
+// exactly on an event boundary is detected as malformed rather than
+// silently replaying short. Replays ignore the TickEnd deltas and levels
+// (they describe the recorded machine, not the replaying one).
+// Touch/Access VPNs are delta-encoded against the previous Touch/Access
+// VPN, which keeps hot-set streams to ~2 bytes per event.
 // Region start VPNs are strictly increasing over the life of the stream
 // (the recorder's address space never reuses addresses), which the
 // Replayer relies on to translate recorded VPNs into its own regions.
@@ -107,22 +107,15 @@ import (
 // Magic identifies a trace file.
 const Magic = "TPPTRACE"
 
-// Version is the current trace-format version. Version 2 added the
-// optional topology block; version 3 added per-node vmstat counter
-// deltas to TickEnd events; version 4 added per-node residency levels
-// next to them (the series plane's level columns); version 5 is
-// reserved for per-node free-page/watermark levels (readers treat it
-// like v4); version 6 added the header fault-schedule block and
-// OpFault edge events, so replays reproduce faulted runs bit-
-// identically; version 7 added the header tracker spec, so replays
-// rebuild the recorded run's tracker plane. Older traces still load.
+// Version is the trace-format version, the only one this package reads
+// and writes. Every trace comes from a recording run or a generator, so
+// a trace of another version is re-recorded rather than converted.
 const Version = 7
 
 // Header carries the workload identity a trace was captured from: enough
 // for the Replayer to satisfy the workload.Workload interface and for a
 // machine to be sized identically to the recorded run.
 type Header struct {
-	Version     int
 	Name        string
 	Model       metrics.ThroughputModel
 	TotalPages  uint64
@@ -133,20 +126,18 @@ type Header struct {
 	// in when recording; synthetic generators leave it nil.
 	Topology *tier.Spec
 	// Faults, when non-nil, is the fault schedule the recorded run was
-	// injected with (v6+), so a replay can re-apply the identical
-	// faults. nil for faults-off runs and older traces.
+	// injected with, so a replay can re-apply the identical faults. nil
+	// for faults-off runs.
 	Faults *fault.Schedule
 	// Tracker, when non-empty, is the tracker-plane spec string the
-	// recorded run was observed with (v7+, tracker.ParseSpec format),
-	// so a replay can rebuild the identical plane. Empty for
-	// tracker-off runs and older traces.
+	// recorded run was observed with (tracker.ParseSpec format), so a
+	// replay can rebuild the identical plane. Empty for tracker-off runs.
 	Tracker string
 }
 
 // HeaderFor builds a Header describing the given workload.
 func HeaderFor(wl workload.Workload) Header {
 	return Header{
-		Version:     Version,
 		Name:        wl.Name(),
 		Model:       wl.Model(),
 		TotalPages:  wl.TotalPages(),
@@ -193,7 +184,7 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// NodeCounterDelta is one per-node counter increment carried by a v3
+// NodeCounterDelta is one per-node counter increment carried by a
 // TickEnd event: node Node's Counter grew by Delta during the tick.
 type NodeCounterDelta struct {
 	Node    int
@@ -203,8 +194,8 @@ type NodeCounterDelta struct {
 
 // Event is one decoded trace record. Fields are populated per opcode:
 // Mmap uses Start/Pages/Type/Dirty, Munmap uses Start/Pages/Type,
-// Touch/Access use VPN, and TickEnd carries the recorded machine's
-// per-node vmstat deltas on v3+ streams.
+// Touch/Access use VPN, TickEnd carries the recorded machine's per-node
+// vmstat deltas and levels, and Fault carries an applied fault edge.
 type Event struct {
 	Op    Op
 	Start pagetable.VPN // Mmap/Munmap: region start in the recorded space
@@ -213,8 +204,8 @@ type Event struct {
 	Dirty float64       // Mmap: dirty-at-fault probability for the region
 	VPN   pagetable.VPN // Touch/Access: the touched virtual page
 
-	// DeltaNodes is the machine node count a v3 TickEnd recorded (0
-	// when the writer attached no per-node data); Deltas lists the
+	// DeltaNodes is the machine node count a TickEnd recorded (0 when
+	// the writer attached no per-node data); Deltas lists the
 	// tick's non-zero per-node counter increments, grouped by node in
 	// ascending order. For events returned by Reader.Next, Deltas
 	// aliases a reader-owned scratch buffer valid until the next Next
@@ -222,14 +213,13 @@ type Event struct {
 	DeltaNodes int
 	Deltas     []NodeCounterDelta
 
-	// Levels carries each node's residency at the tick's end on v4+
-	// TickEnds (len == DeltaNodes when present, nil on older streams or
-	// when the writer had no residency source). Like Deltas, it aliases
-	// reader-owned scratch.
+	// Levels carries each node's residency at the tick's end (len ==
+	// DeltaNodes when present, nil when the writer had no residency
+	// source). Like Deltas, it aliases reader-owned scratch.
 	Levels []series.Levels
 
-	// Fault carries an OpFault event's applied edge (v6+): the kind,
-	// target node, tick it fired, and the kind's scalar operands.
+	// Fault carries an OpFault event's applied edge: the kind, target
+	// node, tick it fired, and the kind's scalar operands.
 	Fault fault.Edge
 }
 
@@ -238,37 +228,24 @@ func (e Event) Region() pagetable.Region {
 	return pagetable.Region{Start: e.Start, Pages: e.Pages, Type: e.Type}
 }
 
-// encodeHeader renders a header to its binary form. The header's own
-// version is preserved (Save must not relabel old traces); a zero
-// version means a hand-built header and gets the current one.
+// encodeHeader renders a header to its binary form.
 func encodeHeader(h Header) []byte {
-	v := h.Version
-	if v == 0 {
-		v = Version
-	}
 	buf := make([]byte, 0, 64)
 	buf = append(buf, Magic...)
-	buf = binary.AppendUvarint(buf, uint64(v))
+	buf = binary.AppendUvarint(buf, Version)
 	buf = binary.AppendUvarint(buf, uint64(len(h.Name)))
 	buf = append(buf, h.Name...)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Model.CPUServiceNs))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(h.Model.StallsPerOp))
 	buf = binary.AppendUvarint(buf, h.TotalPages)
 	buf = binary.AppendUvarint(buf, h.WarmupTicks)
-	if v >= 2 {
-		buf = appendTopology(buf, h.Topology)
-	}
-	if v >= 6 {
-		buf = appendFaults(buf, h.Faults)
-	}
-	if v >= 7 {
-		buf = binary.AppendUvarint(buf, uint64(len(h.Tracker)))
-		buf = append(buf, h.Tracker...)
-	}
-	return buf
+	buf = appendTopology(buf, h.Topology)
+	buf = appendFaults(buf, h.Faults)
+	buf = binary.AppendUvarint(buf, uint64(len(h.Tracker)))
+	return append(buf, h.Tracker...)
 }
 
-// appendFaults renders the optional fault-schedule block (v6+).
+// appendFaults renders the optional fault-schedule block.
 func appendFaults(buf []byte, s *fault.Schedule) []byte {
 	if s == nil || s.Empty() {
 		return append(buf, 0)
@@ -290,7 +267,7 @@ func appendFaults(buf []byte, s *fault.Schedule) []byte {
 	return buf
 }
 
-// readFaults parses the fault-schedule block of a v6+ header.
+// readFaults parses the fault-schedule block of a header.
 func readFaults(r byteStream) (*fault.Schedule, error) {
 	present, err := r.ReadByte()
 	if err != nil {
@@ -383,7 +360,7 @@ func appendTopology(buf []byte, s *tier.Spec) []byte {
 	return buf
 }
 
-// readTopology parses the topology block of a v2+ header.
+// readTopology parses the topology block of a header.
 func readTopology(r byteStream) (*tier.Spec, error) {
 	present, err := r.ReadByte()
 	if err != nil {
@@ -476,10 +453,9 @@ func readHeader(r byteStream) (Header, error) {
 	if err != nil {
 		return Header{}, fmt.Errorf("trace: reading version: %w", err)
 	}
-	if v == 0 || v > Version {
-		return Header{}, fmt.Errorf("trace: unsupported version %d (have %d)", v, Version)
+	if v != Version {
+		return Header{}, fmt.Errorf("trace: format version %d is not readable (this build reads version %d only); re-record the trace", v, Version)
 	}
-	h.Version = int(v)
 	nameLen, err := binary.ReadUvarint(r)
 	if err != nil {
 		return Header{}, fmt.Errorf("trace: reading name length: %w", err)
@@ -504,30 +480,24 @@ func readHeader(r byteStream) (Header, error) {
 	if h.WarmupTicks, err = binary.ReadUvarint(r); err != nil {
 		return Header{}, fmt.Errorf("trace: reading warmup ticks: %w", err)
 	}
-	if h.Version >= 2 {
-		if h.Topology, err = readTopology(r); err != nil {
-			return Header{}, err
-		}
+	if h.Topology, err = readTopology(r); err != nil {
+		return Header{}, err
 	}
-	if h.Version >= 6 {
-		if h.Faults, err = readFaults(r); err != nil {
-			return Header{}, err
-		}
+	if h.Faults, err = readFaults(r); err != nil {
+		return Header{}, err
 	}
-	if h.Version >= 7 {
-		specLen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return Header{}, fmt.Errorf("trace: reading tracker spec length: %w", err)
-		}
-		if specLen > 1<<12 {
-			return Header{}, fmt.Errorf("trace: absurd tracker spec length %d", specLen)
-		}
-		spec := make([]byte, specLen)
-		if _, err := io.ReadFull(r, spec); err != nil {
-			return Header{}, fmt.Errorf("trace: reading tracker spec: %w", err)
-		}
-		h.Tracker = string(spec)
+	specLen, err := binary.ReadUvarint(r)
+	if err != nil {
+		return Header{}, fmt.Errorf("trace: reading tracker spec length: %w", err)
 	}
+	if specLen > 1<<12 {
+		return Header{}, fmt.Errorf("trace: absurd tracker spec length %d", specLen)
+	}
+	spec := make([]byte, specLen)
+	if _, err := io.ReadFull(r, spec); err != nil {
+		return Header{}, fmt.Errorf("trace: reading tracker spec: %w", err)
+	}
+	h.Tracker = string(spec)
 	return h, nil
 }
 
@@ -548,7 +518,6 @@ type Writer struct {
 	// deltaScratch backs TickEndDeltas' sparse event payload, reused
 	// across ticks.
 	deltaScratch []NodeCounterDelta
-	version      int
 	closed       bool
 	err          error
 }
@@ -558,11 +527,7 @@ type Writer struct {
 // produced by Topology.Spec); an unresolved spec is a sticky error
 // rather than a block the reader would misparse.
 func NewWriter(w io.Writer, h Header) *Writer {
-	v := h.Version
-	if v == 0 {
-		v = Version
-	}
-	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16), version: v}
+	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
 	if err := checkTopology(h.Topology); err != nil {
 		tw.err = err
 		return tw
@@ -649,53 +614,45 @@ func (w *Writer) WriteEvent(e Event) {
 		w.uvarint(zigzag(int64(e.VPN) - int64(w.prev)))
 		w.prev = e.VPN
 	case OpTickEnd:
-		if w.version >= 3 {
-			// Deltas must be grouped by ascending node with every Node in
-			// [0, DeltaNodes); nodes beyond the last delta encode as empty.
-			w.uvarint(uint64(e.DeltaNodes))
-			i := 0
-			for n := 0; n < e.DeltaNodes; n++ {
-				start := i
-				for i < len(e.Deltas) && e.Deltas[i].Node == n {
-					i++
-				}
-				w.uvarint(uint64(i - start))
-				for _, d := range e.Deltas[start:i] {
-					w.writeByte(byte(d.Counter))
-					w.uvarint(d.Delta)
-				}
+		// Deltas must be grouped by ascending node with every Node in
+		// [0, DeltaNodes); nodes beyond the last delta encode as empty.
+		w.uvarint(uint64(e.DeltaNodes))
+		i := 0
+		for n := 0; n < e.DeltaNodes; n++ {
+			start := i
+			for i < len(e.Deltas) && e.Deltas[i].Node == n {
+				i++
 			}
-			if i != len(e.Deltas) && w.err == nil {
-				// Out-of-order or out-of-range entries would be silently
-				// lost, breaking the sum(deltas)==final invariant — fail
-				// loudly instead.
-				w.err = fmt.Errorf("trace: tickend deltas not grouped by ascending node in [0,%d)", e.DeltaNodes)
+			w.uvarint(uint64(i - start))
+			for _, d := range e.Deltas[start:i] {
+				w.writeByte(byte(d.Counter))
+				w.uvarint(d.Delta)
 			}
-			if w.version >= 4 && e.DeltaNodes > 0 {
-				switch {
-				case len(e.Levels) == e.DeltaNodes:
-					w.writeByte(1)
-					for _, lv := range e.Levels {
-						w.uvarint(lv.Resident)
-						w.uvarint(lv.Anon)
-						w.uvarint(lv.File)
-					}
-				case len(e.Levels) == 0:
-					w.writeByte(0)
-				default:
-					if w.err == nil {
-						w.err = fmt.Errorf("trace: tickend has %d level entries for %d nodes", len(e.Levels), e.DeltaNodes)
-					}
+		}
+		if i != len(e.Deltas) && w.err == nil {
+			// Out-of-order or out-of-range entries would be silently
+			// lost, breaking the sum(deltas)==final invariant — fail
+			// loudly instead.
+			w.err = fmt.Errorf("trace: tickend deltas not grouped by ascending node in [0,%d)", e.DeltaNodes)
+		}
+		if e.DeltaNodes > 0 {
+			switch {
+			case len(e.Levels) == e.DeltaNodes:
+				w.writeByte(1)
+				for _, lv := range e.Levels {
+					w.uvarint(lv.Resident)
+					w.uvarint(lv.Anon)
+					w.uvarint(lv.File)
+				}
+			case len(e.Levels) == 0:
+				w.writeByte(0)
+			default:
+				if w.err == nil {
+					w.err = fmt.Errorf("trace: tickend has %d level entries for %d nodes", len(e.Levels), e.DeltaNodes)
 				}
 			}
 		}
 	case OpFault:
-		if w.version < 6 {
-			if w.err == nil {
-				w.err = fmt.Errorf("trace: fault events need format v6+ (writer is v%d)", w.version)
-			}
-			break
-		}
 		w.writeByte(byte(e.Fault.Kind))
 		w.uvarint(zigzag(int64(e.Fault.Node)))
 		w.uvarint(e.Fault.Tick)
@@ -713,7 +670,7 @@ func (w *Writer) WriteEvent(e Event) {
 	w.events++
 }
 
-// Fault records one applied fault edge (v6+ writers).
+// Fault records one applied fault edge.
 func (w *Writer) Fault(edge fault.Edge) { w.WriteEvent(Event{Op: OpFault, Fault: edge}) }
 
 // Mmap records a region creation with its dirty-at-fault probability.
@@ -736,9 +693,8 @@ func (w *Writer) Access(v pagetable.VPN) { w.WriteEvent(Event{Op: OpAccess, VPN:
 func (w *Writer) TickEnd() { w.WriteEvent(Event{Op: OpTickEnd}) }
 
 // TickEndDeltas closes the current tick, attaching each node's vmstat
-// counter deltas for the tick (v3+ writers; earlier versions write a
-// bare marker) and, when levels is non-nil (one entry per node), each
-// node's residency at the tick's end (v4+ writers; v3 drops them). Only
+// counter deltas for the tick and, when levels is non-nil (one entry
+// per node), each node's residency at the tick's end. Only
 // non-zero counters are encoded, so quiet ticks on small machines cost
 // a few bytes. The snapshots are flattened into the sparse event form
 // and encoded by WriteEvent — one encoder serves both freshly captured
@@ -773,14 +729,12 @@ func (w *Writer) Flush() error {
 	return w.err
 }
 
-// Close writes the end-of-stream marker (v2+ traces), flushes, and
-// closes any underlying file opened by Create.
+// Close writes the end-of-stream marker, flushes, and closes any
+// underlying file opened by Create.
 func (w *Writer) Close() error {
 	if !w.closed {
 		w.closed = true
-		if w.version >= 2 {
-			w.WriteEvent(Event{Op: OpEnd})
-		}
+		w.WriteEvent(Event{Op: OpEnd})
 	}
 	w.Flush()
 	for _, c := range w.closers {
@@ -847,10 +801,9 @@ func (r *Reader) Header() Header { return r.h }
 
 // Next decodes the next event. It returns io.EOF at the end of the
 // stream; any other error means the trace is malformed and names the
-// byte offset and tick it tripped on. Version-2+ streams end with an
-// explicit OpEnd marker, so running out of bytes without one is
-// reported as truncation, not a clean end — including mid-event and
-// mid-tick cuts.
+// byte offset and tick it tripped on. Streams end with an explicit
+// OpEnd marker, so running out of bytes without one is reported as
+// truncation, not a clean end — including mid-event and mid-tick cuts.
 func (r *Reader) Next() (Event, error) {
 	e, err := r.next()
 	switch {
@@ -867,10 +820,7 @@ func (r *Reader) Next() (Event, error) {
 func (r *Reader) next() (Event, error) {
 	op, err := r.br.ReadByte()
 	if err == io.EOF {
-		if r.h.Version >= 2 {
-			return Event{}, fmt.Errorf("trace: stream truncated (no end marker)")
-		}
-		return Event{}, io.EOF
+		return Event{}, fmt.Errorf("trace: stream truncated (no end marker)")
 	}
 	if err != nil {
 		return Event{}, fmt.Errorf("trace: reading opcode: %w", err)
@@ -911,72 +861,67 @@ func (r *Reader) next() (Event, error) {
 		e.VPN = pagetable.VPN(int64(r.prev) + unzigzag(u))
 		r.prev = e.VPN
 	case OpTickEnd:
-		if r.h.Version >= 3 {
-			nodes, err := binary.ReadUvarint(r.br)
+		nodes, err := binary.ReadUvarint(r.br)
+		if err != nil {
+			return Event{}, fmt.Errorf("trace: tickend node count: %w", err)
+		}
+		if nodes > 127 {
+			return Event{}, fmt.Errorf("trace: tickend bad node count %d", nodes)
+		}
+		e.DeltaNodes = int(nodes)
+		r.deltaScratch = r.deltaScratch[:0]
+		for n := 0; n < int(nodes); n++ {
+			pairs, err := binary.ReadUvarint(r.br)
 			if err != nil {
-				return Event{}, fmt.Errorf("trace: tickend node count: %w", err)
+				return Event{}, fmt.Errorf("trace: tickend node %d pair count: %w", n, err)
 			}
-			if nodes > 127 {
-				return Event{}, fmt.Errorf("trace: tickend bad node count %d", nodes)
+			if pairs > uint64(vmstat.NumCounters) {
+				return Event{}, fmt.Errorf("trace: tickend node %d has %d counter deltas", n, pairs)
 			}
-			e.DeltaNodes = int(nodes)
-			r.deltaScratch = r.deltaScratch[:0]
-			for n := 0; n < int(nodes); n++ {
-				pairs, err := binary.ReadUvarint(r.br)
+			for k := uint64(0); k < pairs; k++ {
+				cb, err := r.br.ReadByte()
 				if err != nil {
-					return Event{}, fmt.Errorf("trace: tickend node %d pair count: %w", n, err)
+					return Event{}, fmt.Errorf("trace: tickend delta counter: %w", err)
 				}
-				if pairs > uint64(vmstat.NumCounters) {
-					return Event{}, fmt.Errorf("trace: tickend node %d has %d counter deltas", n, pairs)
+				if int(cb) >= vmstat.NumCounters {
+					return Event{}, fmt.Errorf("trace: tickend unknown counter %d", cb)
 				}
-				for k := uint64(0); k < pairs; k++ {
-					cb, err := r.br.ReadByte()
-					if err != nil {
-						return Event{}, fmt.Errorf("trace: tickend delta counter: %w", err)
-					}
-					if int(cb) >= vmstat.NumCounters {
-						return Event{}, fmt.Errorf("trace: tickend unknown counter %d", cb)
-					}
-					v, err := binary.ReadUvarint(r.br)
-					if err != nil {
-						return Event{}, fmt.Errorf("trace: tickend delta value: %w", err)
-					}
-					r.deltaScratch = append(r.deltaScratch,
-						NodeCounterDelta{Node: n, Counter: vmstat.Counter(cb), Delta: v})
-				}
-			}
-			e.Deltas = r.deltaScratch
-			if r.h.Version >= 4 && nodes > 0 {
-				present, err := r.br.ReadByte()
+				v, err := binary.ReadUvarint(r.br)
 				if err != nil {
-					return Event{}, fmt.Errorf("trace: tickend level marker: %w", err)
+					return Event{}, fmt.Errorf("trace: tickend delta value: %w", err)
 				}
-				if present > 1 {
-					return Event{}, fmt.Errorf("trace: tickend bad level marker %d", present)
-				}
-				if present == 1 {
-					r.levelScratch = r.levelScratch[:0]
-					for n := 0; n < int(nodes); n++ {
-						var lv series.Levels
-						var lerr error
-						if lv.Resident, lerr = binary.ReadUvarint(r.br); lerr == nil {
-							if lv.Anon, lerr = binary.ReadUvarint(r.br); lerr == nil {
-								lv.File, lerr = binary.ReadUvarint(r.br)
-							}
+				r.deltaScratch = append(r.deltaScratch,
+					NodeCounterDelta{Node: n, Counter: vmstat.Counter(cb), Delta: v})
+			}
+		}
+		e.Deltas = r.deltaScratch
+		if nodes > 0 {
+			present, err := r.br.ReadByte()
+			if err != nil {
+				return Event{}, fmt.Errorf("trace: tickend level marker: %w", err)
+			}
+			if present > 1 {
+				return Event{}, fmt.Errorf("trace: tickend bad level marker %d", present)
+			}
+			if present == 1 {
+				r.levelScratch = r.levelScratch[:0]
+				for n := 0; n < int(nodes); n++ {
+					var lv series.Levels
+					var lerr error
+					if lv.Resident, lerr = binary.ReadUvarint(r.br); lerr == nil {
+						if lv.Anon, lerr = binary.ReadUvarint(r.br); lerr == nil {
+							lv.File, lerr = binary.ReadUvarint(r.br)
 						}
-						if lerr != nil {
-							return Event{}, fmt.Errorf("trace: tickend node %d levels: %w", n, lerr)
-						}
-						r.levelScratch = append(r.levelScratch, lv)
 					}
-					e.Levels = r.levelScratch
+					if lerr != nil {
+						return Event{}, fmt.Errorf("trace: tickend node %d levels: %w", n, lerr)
+					}
+					r.levelScratch = append(r.levelScratch, lv)
 				}
+				e.Levels = r.levelScratch
 			}
 		}
 	case OpFault:
-		if r.h.Version < 6 {
-			return Event{}, fmt.Errorf("trace: fault event in v%d stream (need v6+)", r.h.Version)
-		}
 		kind, err := r.br.ReadByte()
 		if err != nil {
 			return Event{}, fmt.Errorf("trace: fault kind: %w", err)

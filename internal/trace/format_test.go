@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"path/filepath"
@@ -17,7 +18,6 @@ import (
 
 func testHeader() Header {
 	return Header{
-		Version:     Version,
 		Name:        "RoundTrip",
 		Model:       metrics.ThroughputModel{CPUServiceNs: 312.5, StallsPerOp: 1.25},
 		TotalPages:  96 * 1024,
@@ -309,39 +309,29 @@ func TestUnresolvedTopologyRejectedAtWrite(t *testing.T) {
 	}
 }
 
-func TestV1TraceCompat(t *testing.T) {
-	// Version-1 traces have no topology block and no end marker; they
-	// must still load, stream cleanly to EOF, and re-save as v1.
-	h := testHeader()
-	h.Version = 1
-	events := genEvents(200)
-	raw := writeStream(t, h, events)
-	tr, err := Decode(raw)
-	if err != nil {
-		t.Fatal(err)
+// TestRejectsOtherVersions pins the one-version format: a header of
+// any version but Version fails to decode with an error that names the
+// version and says to re-record the trace.
+func TestRejectsOtherVersions(t *testing.T) {
+	raw := writeStream(t, testHeader(), genEvents(20))
+	if _, err := Decode(raw); err != nil {
+		t.Fatalf("current version: %v", err)
 	}
-	if tr.Header.Version != 1 || tr.Header.Topology != nil {
-		t.Fatalf("v1 header parsed as %+v", tr.Header)
-	}
-	got := readAll(t, tr.Events())
-	if len(got) != len(events) {
-		t.Fatalf("event count %d, want %d", len(got), len(events))
-	}
-	path := filepath.Join(t.TempDir(), "v1.trace")
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Header.Version != 1 {
-		t.Fatalf("re-saved v1 trace relabeled to version %d", tr2.Header.Version)
+	for _, v := range []byte{1, 6, 8} {
+		old := append([]byte(nil), raw...)
+		old[len(Magic)] = v // Version is a one-byte varint right after the magic
+		_, err := Decode(old)
+		if err == nil {
+			t.Fatalf("version %d header decoded", v)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d ", v)) || !strings.Contains(msg, "re-record") {
+			t.Errorf("version %d: error %q does not name the version and say to re-record", v, msg)
+		}
 	}
 }
 
 func TestTruncationAlwaysDetected(t *testing.T) {
-	// Version-2 streams end with an explicit OpEnd marker, so truncation
+	// Streams end with an explicit OpEnd marker, so truncation
 	// is detected at EVERY cut point of the event stream — including cuts
 	// that land exactly on an event boundary.
 	raw := writeStream(t, testHeader(), genEvents(60))

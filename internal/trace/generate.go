@@ -140,7 +140,7 @@ func PhaseShift(cfg GenConfig) *Trace {
 	phasePages := atLeast1(cfg.Pages * 46 / 100)
 	filePages := atLeast1(cfg.Pages * 8 / 100)
 	g := newGen(Header{
-		Version: Version, Name: "PhaseShift",
+		Name:       "PhaseShift",
 		Model:      metrics.ThroughputModel{CPUServiceNs: 500, StallsPerOp: 1},
 		TotalPages: headerPages(cfg.Pages, 2*phasePages+filePages),
 	}, cfg.Seed)
@@ -184,7 +184,7 @@ func SequentialScan(cfg GenConfig) *Trace {
 	corePages := atLeast1(cfg.Pages * 30 / 100)
 	coldPages := atLeast1(cfg.Pages * 70 / 100)
 	g := newGen(Header{
-		Version: Version, Name: "SeqScan",
+		Name:       "SeqScan",
 		Model:      metrics.ThroughputModel{CPUServiceNs: 450, StallsPerOp: 1},
 		TotalPages: headerPages(cfg.Pages, corePages+coldPages),
 	}, cfg.Seed)
@@ -242,7 +242,7 @@ func AdversarialChurn(cfg GenConfig) *Trace {
 	basePages := atLeast1(cfg.Pages * 40 / 100)
 	segPages := atLeast1(cfg.Pages * 60 / 100 / segments)
 	g := newGen(Header{
-		Version: Version, Name: "AdvChurn",
+		Name:       "AdvChurn",
 		Model:      metrics.ThroughputModel{CPUServiceNs: 600, StallsPerOp: 1},
 		TotalPages: headerPages(cfg.Pages, basePages+segments*segPages),
 	}, cfg.Seed)

@@ -13,7 +13,7 @@ import (
 // NodeStatsSource is implemented by machines that expose a node-indexed
 // vmstat plane (sim.Machine does); when the recording context provides
 // one, every recorded tick carries the per-node counter deltas the
-// machine accumulated during it (trace format v3).
+// machine accumulated during it.
 type NodeStatsSource interface {
 	// NodeVmstat appends one snapshot per node to dst and returns the
 	// extended slice.
@@ -23,8 +23,8 @@ type NodeStatsSource interface {
 // NodeLevelsSource is implemented by machines that expose per-node
 // residency (sim.Machine does); when the recording context provides one
 // alongside NodeStatsSource, every recorded tick also carries each
-// node's residency levels at the tick's end (trace format v4) — the
-// level columns trace.Stats folds into the series plane.
+// node's residency levels at the tick's end — the level columns
+// trace.Stats folds into the series plane.
 type NodeLevelsSource interface {
 	// NodeLevels appends one Levels entry per node to dst and returns
 	// the extended slice.
@@ -45,10 +45,10 @@ type Recorder struct {
 	w      *Writer
 	ticked bool
 
-	// Per-node vmstat delta capture (v3 TickEnd payload). src is the
+	// Per-node vmstat delta capture (the TickEnd payload). src is the
 	// machine's stats plane when it offers one; prev/cur/deltas are
 	// reused across ticks so recording stays allocation-free after the
-	// first tick. lvlSrc/levels mirror the arrangement for the v4
+	// first tick. lvlSrc/levels mirror the arrangement for the
 	// residency levels.
 	src    NodeStatsSource
 	prev   []vmstat.Snapshot
@@ -127,7 +127,7 @@ func (r *Recorder) writeTickEnd() {
 	r.prev = append(r.prev[:0], r.cur...)
 }
 
-// Fault records one applied fault edge into the stream (v6). The sim's
+// Fault records one applied fault edge into the stream. The sim's
 // fault driver calls this as edges fire; position inside the tick is
 // informational (replays rebuild faults from the header schedule).
 func (r *Recorder) Fault(edge fault.Edge) { r.w.Fault(edge) }

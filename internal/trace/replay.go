@@ -37,14 +37,17 @@ type Replayer struct {
 	tr   *Trace
 	opts ReplayOptions
 
-	r         *Reader
-	pending   *Event
-	live      []liveRegion
-	baseline  []regionKey
-	ticksSeen uint64
-	exhausted bool
-	needDrain bool
-	err       error
+	r *Reader
+	// pending is the event peek decoded and nothing consumed yet, valid
+	// while hasPending; held by value so decoding allocates nothing.
+	pending    Event
+	hasPending bool
+	live       []liveRegion
+	baseline   []regionKey
+	ticksSeen  uint64
+	exhausted  bool
+	needDrain  bool
+	err        error
 }
 
 // liveRegion joins a recorded region to the region backing it in the
@@ -96,7 +99,7 @@ func (r *Replayer) WorkloadErr() error { return r.err }
 // Start implements workload.Workload: replay the setup section.
 func (r *Replayer) Start(ctx workload.Ctx) {
 	r.live = r.live[:0]
-	r.pending = nil
+	r.hasPending = false
 	r.err = nil
 	r.exhausted = false
 	r.needDrain = false
@@ -179,14 +182,14 @@ func (r *Replayer) Tick(ctx workload.Ctx, tick uint64) {
 // into the replaying address space, stopping at the first non-access
 // event (left pending for Tick/drain) or a full buffer. The draw reads
 // only the trace and the live-region table, never machine state, and
-// skips the per-event peek/consume bookkeeping (and its pending-event
-// allocation), so replays run at profile speed.
+// skips the per-event peek/consume bookkeeping, so replays run at
+// profile speed.
 func (r *Replayer) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetable.VPN) int {
 	if r.exhausted {
 		return 0
 	}
 	n := 0
-	if r.pending != nil {
+	if r.hasPending {
 		if r.pending.Op != OpAccess {
 			return 0
 		}
@@ -195,7 +198,7 @@ func (r *Replayer) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetabl
 			r.fail(fmt.Errorf("trace: access %d outside every live region", r.pending.VPN))
 			return 0
 		}
-		r.pending = nil
+		r.hasPending = false
 		buf[n] = v
 		n++
 	}
@@ -210,7 +213,7 @@ func (r *Replayer) NextAccessBatch(ctx workload.Ctx, tick uint64, buf []pagetabl
 			return n
 		}
 		if e.Op != OpAccess {
-			r.pending = &e
+			r.pending, r.hasPending = e, true
 			return n
 		}
 		v, found := r.translate(e.VPN)
@@ -275,7 +278,7 @@ func (r *Replayer) wrap(ctx workload.Ctx) bool {
 		}
 		r.live = r.live[:0]
 	}
-	r.pending = nil
+	r.hasPending = false
 	r.exhausted = false
 	r.needDrain = false
 	r.ticksSeen = 0
@@ -298,10 +301,11 @@ func (r *Replayer) liveMatchesBaseline() bool {
 	return true
 }
 
-// peek returns the next event without consuming it. ok is false at end
-// of stream or on a decode error (recorded via fail).
-func (r *Replayer) peek() (Event, bool) {
-	if r.pending == nil {
+// peek returns the next event without consuming it; the event stays
+// valid until the next peek. ok is false at end of stream or on a decode
+// error (recorded via fail).
+func (r *Replayer) peek() (*Event, bool) {
+	if !r.hasPending {
 		e, err := r.r.Next()
 		if err != nil {
 			// Clean end-of-stream is a bare io.EOF; wrapped EOFs from
@@ -309,14 +313,14 @@ func (r *Replayer) peek() (Event, bool) {
 			if err != io.EOF {
 				r.fail(err)
 			}
-			return Event{}, false
+			return nil, false
 		}
-		r.pending = &e
+		r.pending, r.hasPending = e, true
 	}
-	return *r.pending, true
+	return &r.pending, true
 }
 
-func (r *Replayer) consume() { r.pending = nil }
+func (r *Replayer) consume() { r.hasPending = false }
 
 func (r *Replayer) fail(err error) {
 	if r.err == nil {
@@ -326,7 +330,7 @@ func (r *Replayer) fail(err error) {
 }
 
 // apply executes one housekeeping event against the machine.
-func (r *Replayer) apply(ctx workload.Ctx, e Event) {
+func (r *Replayer) apply(ctx workload.Ctx, e *Event) {
 	switch e.Op {
 	case OpMmap:
 		if e.Pages == 0 {
@@ -359,7 +363,7 @@ func (r *Replayer) apply(ctx workload.Ctx, e Event) {
 		}
 		ctx.Touch(v)
 	case OpFault:
-		// Informational (v6): the replaying machine rebuilds faults from
+		// Informational: the replaying machine rebuilds faults from
 		// the header schedule; stream edges just document when each fired.
 	default:
 		r.fail(fmt.Errorf("trace: unexpected %s in housekeeping position", e.Op))

@@ -1,14 +1,19 @@
 package trace_test
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"tppsim/internal/core"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/trace"
+	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
 )
 
@@ -25,7 +30,7 @@ func TestRecordReplayDeterminism(t *testing.T) {
 				Seed:     3,
 				Policy:   core.TPP(),
 				Workload: workload.Catalog[wlName](4 * 1024),
-				Ratio:    [2]uint64{2, 1},
+				Topology: tier.PresetCXL(2, 1),
 				Minutes:  6,
 				RecordTo: path,
 			}
@@ -81,7 +86,7 @@ func TestReplayAcrossPolicies(t *testing.T) {
 		Seed:     1,
 		Policy:   core.DefaultLinux(),
 		Workload: workload.Catalog["Cache1"](4 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: tier.PresetCXL(2, 1),
 		Minutes:  5,
 		RecordTo: path,
 	}
@@ -102,7 +107,7 @@ func TestReplayAcrossPolicies(t *testing.T) {
 	for _, p := range []core.Policy{core.DefaultLinux(), core.TPP(), core.NUMABalancing()} {
 		rp := tr.Replayer(trace.ReplayOptions{})
 		m, err := sim.New(sim.Config{
-			Seed: 1, Policy: p, Workload: rp, Ratio: [2]uint64{2, 1}, Minutes: 5,
+			Seed: 1, Policy: p, Workload: rp, Topology: tier.PresetCXL(2, 1), Minutes: 5,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
@@ -129,7 +134,7 @@ func TestReplayLoopAndTruncate(t *testing.T) {
 		t.Helper()
 		m, err := sim.New(sim.Config{
 			Seed: 1, Policy: core.TPP(), Workload: wl,
-			Ratio: [2]uint64{2, 1}, Minutes: minutes, AccessesPerTick: 100,
+			Topology: tier.PresetCXL(2, 1), Minutes: minutes, AccessesPerTick: 100,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +188,7 @@ func TestCorruptTraceFailsRun(t *testing.T) {
 	path := filepath.Join(dir, "ok.trace")
 	m, err := sim.New(sim.Config{
 		Seed: 1, Policy: core.TPP(), Workload: workload.Catalog["Cache1"](4 * 1024),
-		Ratio: [2]uint64{2, 1}, Minutes: 4, RecordTo: path,
+		Topology: tier.PresetCXL(2, 1), Minutes: 4, RecordTo: path,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +210,7 @@ func TestCorruptTraceFailsRun(t *testing.T) {
 	}
 	rp := tr.Replayer(trace.ReplayOptions{})
 	m, err = sim.New(sim.Config{
-		Seed: 1, Policy: core.TPP(), Workload: rp, Ratio: [2]uint64{2, 1}, Minutes: 4,
+		Seed: 1, Policy: core.TPP(), Workload: rp, Topology: tier.PresetCXL(2, 1), Minutes: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +245,7 @@ func TestGeneratorsTinyWorkingSet(t *testing.T) {
 		rp := tr.Replayer(trace.ReplayOptions{Loop: true})
 		m, err := sim.New(sim.Config{
 			Seed: 1, Policy: core.TPP(), Workload: rp,
-			Ratio: [2]uint64{2, 1}, Minutes: 2, AccessesPerTick: 20,
+			Topology: tier.PresetCXL(2, 1), Minutes: 2, AccessesPerTick: 20,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -262,7 +267,7 @@ func TestCatalogTraceEntries(t *testing.T) {
 		wl := ctor(2048)
 		m, err := sim.New(sim.Config{
 			Seed: 1, Policy: core.TPP(), Workload: wl,
-			Ratio: [2]uint64{2, 1}, Minutes: 3, AccessesPerTick: 200,
+			Topology: tier.PresetCXL(2, 1), Minutes: 3, AccessesPerTick: 200,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -274,5 +279,71 @@ func TestCatalogTraceEntries(t *testing.T) {
 		if res.Workload != name {
 			t.Fatalf("%s: workload name %q", name, res.Workload)
 		}
+	}
+}
+
+// TestReplayIgnoresTickEndPayload pins that the per-node TickEnd
+// payload is observability, not replay input: the recorded stream with
+// every TickEnd's deltas and levels stripped replays to the same
+// scalars and vmstat as the full stream, and both reproduce the
+// recording machine's counters.
+func TestReplayIgnoresTickEndPayload(t *testing.T) {
+	m, tr := recordRun(t, t.TempDir())
+
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf, tr.Header)
+	r := tr.Events()
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Op == trace.OpTickEnd {
+			e = trace.Event{Op: trace.OpTickEnd}
+		}
+		w.WriteEvent(e)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bare, err := trace.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Size() >= tr.Size() {
+		t.Errorf("payload-free stream (%d B) not smaller than the full one (%d B)", bare.Size(), tr.Size())
+	}
+
+	run := func(tr *trace.Trace) (string, vmstat.Snapshot) {
+		rm, err := sim.New(sim.Config{
+			Seed:     11,
+			Policy:   core.TPP(),
+			Workload: tr.Replayer(trace.ReplayOptions{}),
+			Topology: tier.PresetCXL(2, 1),
+			Minutes:  5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rm.Run()
+		if res.Failed {
+			t.Fatal(res.FailReason)
+		}
+		return strconv.FormatFloat(res.NormalizedThroughput, 'g', -1, 64) + "/" +
+			strconv.FormatFloat(res.AvgLatencyNs, 'g', -1, 64), rm.Stat().Snapshot()
+	}
+	fullScalars, fullStat := run(tr)
+	bareScalars, bareStat := run(bare)
+	if bareScalars != fullScalars {
+		t.Errorf("payload-free replay scalars %s != full replay scalars %s", bareScalars, fullScalars)
+	}
+	if bareStat != fullStat {
+		t.Errorf("payload-free replay vmstat diverges from the full replay:\n got:\n%s want:\n%s", bareStat.String(), fullStat.String())
+	}
+	if want := m.Stat().Snapshot(); fullStat != want {
+		t.Errorf("replay vmstat diverges from the recording:\n got:\n%s want:\n%s", fullStat.String(), want.String())
 	}
 }

@@ -24,22 +24,19 @@ type StatsOptions struct {
 // Stats folds the trace's per-node TickEnd payload into a series.Series
 // without constructing a machine: counter deltas accumulate into a
 // node-indexed vmstat plane and sample into the series' delta columns,
-// residency levels (v4+ traces) into its level columns. The decode is
-// pure — no allocator, no LRUs, no policy — so analyzing a recorded run
-// costs one pass over the encoded stream instead of a re-simulation.
+// residency levels into its level columns. The decode is pure — no
+// allocator, no LRUs, no policy — so analyzing a recorded run costs one
+// pass over the encoded stream instead of a re-simulation.
 //
 // Because the decoder drives the same series.Sampler the live machine
 // does, decoding a trace with the recording run's sampling options
 // yields a Series bit-identical to the live-sampled
-// metrics.Run.NodeSeries of that run (pinned by test). Traces recorded
-// before format v4 decode with HasLevels() == false: flows only.
+// metrics.Run.NodeSeries of that run (pinned by test). Streams whose
+// TickEnds carry no levels decode with HasLevels() == false: flows only.
 //
-// Stats fails on traces that carry no per-node tick data (format v1/v2
-// streams and synthetic generator traces).
+// Stats fails on traces that carry no per-node tick data (synthetic
+// generator traces).
 func (t *Trace) Stats(o StatsOptions) (*series.Series, error) {
-	if t.Header.Version < 3 {
-		return nil, fmt.Errorf("trace: format v%d carries no per-node tick data (need v3+)", t.Header.Version)
-	}
 	r := t.Events()
 	var (
 		smp    *series.Sampler

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"tppsim/internal/core"
+	"tppsim/internal/mem"
 	"tppsim/internal/sim"
+	"tppsim/internal/tier"
 	"tppsim/internal/trace"
 	"tppsim/internal/vmstat"
 	"tppsim/internal/workload"
@@ -22,7 +24,7 @@ func recordSampledRun(t *testing.T, dir string, every, budget int) (*sim.Machine
 		Seed:             11,
 		Policy:           core.TPP(),
 		Workload:         workload.Catalog["Cache2"](4 * 1024),
-		Ratio:            [2]uint64{2, 1},
+		Topology:         tier.PresetCXL(2, 1),
 		Minutes:          5,
 		RecordTo:         path,
 		SampleEveryTicks: every,
@@ -91,17 +93,16 @@ func TestStatsBitIdenticalToLiveSeries(t *testing.T) {
 	}
 }
 
-// TestStatsOnV3Trace pins backward compatibility: a v3 stream (counter
-// deltas, no residency levels) still decodes — flows identical to the
-// v4 decode, HasLevels false.
-func TestStatsOnV3Trace(t *testing.T) {
+// TestStatsFlowsWithoutLevels pins the flows-only decode: a stream whose
+// TickEnds carry counter deltas but no residency levels (a recorder
+// whose machine offers no NodeLevelsSource) decodes to the same deltas
+// as the full stream, with HasLevels false.
+func TestStatsFlowsWithoutLevels(t *testing.T) {
 	_, tr := recordSampledRun(t, t.TempDir(), 1, 512)
 
-	// Re-encode as version 3: same events, levels stripped by the writer.
+	// Re-encode the same events with every TickEnd's levels dropped.
 	var buf bytes.Buffer
-	h3 := tr.Header
-	h3.Version = 3
-	w := trace.NewWriter(&buf, h3)
+	w := trace.NewWriter(&buf, tr.Header)
 	r := tr.Events()
 	for {
 		e, err := r.Next()
@@ -111,53 +112,93 @@ func TestStatsOnV3Trace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.Levels = nil
 		w.WriteEvent(e)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr3, err := trace.Decode(buf.Bytes())
+	flows, err := trace.Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr3.Size() >= tr.Size() {
-		t.Errorf("v3 stream (%d B) not smaller than v4 (%d B) — levels not stripped?", tr3.Size(), tr.Size())
+	if flows.Size() >= tr.Size() {
+		t.Errorf("levels-free stream (%d B) not smaller than the full one (%d B)", flows.Size(), tr.Size())
 	}
 
-	s4, err := tr.Stats(trace.StatsOptions{})
+	full, err := tr.Stats(trace.StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := tr3.Stats(trace.StatsOptions{})
+	got, err := flows.Stats(trace.StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.HasLevels() {
-		t.Error("v3 decode claims levels")
+	if got.HasLevels() {
+		t.Error("levels-free decode claims levels")
 	}
-	if s3.Len() != s4.Len() || s3.Cadence() != s4.Cadence() {
-		t.Fatalf("v3 decode shape %dx%d != v4 %dx%d", s3.Len(), s3.Cadence(), s4.Len(), s4.Cadence())
+	if got.Len() != full.Len() || got.Cadence() != full.Cadence() {
+		t.Fatalf("levels-free decode shape %dx%d != full %dx%d", got.Len(), got.Cadence(), full.Len(), full.Cadence())
 	}
-	for n := 0; n < s4.Nodes(); n++ {
+	for n := 0; n < full.Nodes(); n++ {
 		for c := 0; c < vmstat.NumCounters; c++ {
-			for i := 0; i < s4.Len(); i++ {
-				if s3.Delta(n, vmstat.Counter(c), i) != s4.Delta(n, vmstat.Counter(c), i) {
-					t.Fatalf("node %d %s window %d: v3 delta diverges", n, vmstat.Counter(c), i)
+			for i := 0; i < full.Len(); i++ {
+				if got.Delta(n, vmstat.Counter(c), i) != full.Delta(n, vmstat.Counter(c), i) {
+					t.Fatalf("node %d %s window %d: levels-free delta diverges", n, vmstat.Counter(c), i)
 				}
 			}
 		}
 	}
 }
 
-// TestStatsRejectsStreamsWithoutPlane pins the failure mode: v2 streams
-// and generator traces carry no per-node tick data.
+// TestStatsRejectsStreamsWithoutPlane pins the failure mode: generator
+// traces carry no per-node tick data, so Stats fails instead of
+// returning an empty series.
 func TestStatsRejectsStreamsWithoutPlane(t *testing.T) {
-	_, tr := recordSampledRun(t, t.TempDir(), 1, 512)
-	var buf bytes.Buffer
-	h2 := tr.Header
-	h2.Version = 2
-	w := trace.NewWriter(&buf, h2)
+	tr := trace.SequentialScan(trace.GenConfig{Pages: 1024, Minutes: 1, AccessesPerTick: 50, Seed: 1})
+	if _, err := tr.Stats(trace.StatsOptions{}); err == nil {
+		t.Fatal("Stats accepted a generator trace with no per-node data")
+	}
+}
+
+// recordRun records one fixed run and returns the recording machine and
+// the loaded trace.
+func recordRun(t *testing.T, dir string) (*sim.Machine, *trace.Trace) {
+	t.Helper()
+	path := filepath.Join(dir, "run.trace")
+	m, err := sim.New(sim.Config{
+		Seed:     11,
+		Policy:   core.TPP(),
+		Workload: workload.Catalog["Cache2"](4 * 1024),
+		Topology: tier.PresetCXL(2, 1),
+		Minutes:  5,
+		RecordTo: path,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := m.Run(); res.Failed {
+		t.Fatal(res.FailReason)
+	}
+	if err := m.RecordError(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, tr
+}
+
+// TestTickEndDeltasSumToFinalCounters pins the TickEnd payload's meaning:
+// accumulating every TickEnd's per-node deltas over the whole stream
+// reproduces the recording machine's final per-node (and hence global)
+// vmstat counters exactly.
+func TestTickEndDeltasSumToFinalCounters(t *testing.T) {
+	m, tr := recordRun(t, t.TempDir())
+	sums := make([]vmstat.Snapshot, m.Stat().NumNodes())
 	r := tr.Events()
+	ticks := 0
 	for {
 		e, err := r.Next()
 		if err == io.EOF {
@@ -166,16 +207,25 @@ func TestStatsRejectsStreamsWithoutPlane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.WriteEvent(e)
+		if e.Op != trace.OpTickEnd {
+			continue
+		}
+		ticks++
+		if e.DeltaNodes != len(sums) {
+			t.Fatalf("tick %d records %d nodes, machine has %d", ticks, e.DeltaNodes, len(sums))
+		}
+		for _, d := range e.Deltas {
+			sums[d.Node][d.Counter] += d.Delta
+		}
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if ticks == 0 {
+		t.Fatal("no ticks in trace")
 	}
-	tr2, err := trace.Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr2.Stats(trace.StatsOptions{}); err == nil {
-		t.Fatal("Stats accepted a v2 stream with no per-node data")
+	for n := range sums {
+		want := m.Stat().NodeSnapshot(mem.NodeID(n))
+		if sums[n] != want {
+			t.Errorf("node %d: delta sum diverges from final counters:\n got:\n%s want:\n%s",
+				n, sums[n].String(), want.String())
+		}
 	}
 }

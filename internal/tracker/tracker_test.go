@@ -26,7 +26,10 @@ type fixture struct {
 
 func newFixture(t *testing.T, localPages, cxlPages uint64, withEngine bool) *fixture {
 	t.Helper()
-	topo, err := tier.NewCXLSystem(tier.Config{LocalPages: localPages, CXLPages: cxlPages})
+	topo, err := tier.Spec{Nodes: []tier.NodeSpec{
+		{Kind: mem.KindLocal, Pages: localPages},
+		{Kind: mem.KindCXL, Pages: cxlPages},
+	}}.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,6 @@
 // Shares, kind, load latency, bandwidth — plus a NUMA distance matrix;
 // node tiers are derived from each node's distance to the nearest CPU.
 //
-// The legacy two-node sugar (MachineConfig.Ratio, LocalPages/CXLPages,
-// CXLLatencyNs) is deprecated but still works and maps onto
-// TopologyCXL; Ratio{2,1} remains the default. Per-node latency
-// overrides (MachineConfig.NodeLatencyNs) supersede CXLLatencyNs.
-//
 // The exported surface is intentionally thin: policies come from
 // constructors (TPP, DefaultLinux, ...) with ablation Options; workloads
 // come from the Workloads catalog or custom workload.Profile values; the
@@ -323,13 +318,13 @@ func Record(cfg MachineConfig, path string) (*RunResult, error) {
 // When cfg.Minutes is zero the run length defaults to the (truncated)
 // trace's own length (not the simulator's 60-minute default), so the
 // scalars are never diluted by idle ticks after the trace runs out; set
-// Minutes explicitly with Loop to run longer. When cfg specifies no
-// machine sizing of its own (no Topology, Ratio, or LocalPages) and the
-// trace was recorded by the simulator, the recorded topology is adopted,
-// rebuilding the recorded machine exactly. Replaying under the recording
-// run's policy, seed, and machine configuration reproduces its scalar
-// results exactly; changing the policy replays the identical access
-// stream under the new mechanism.
+// Minutes explicitly with Loop to run longer. When cfg has no Topology
+// nodes and the trace was recorded by the simulator, the recorded nodes
+// are adopted, rebuilding the recorded machine exactly; cfg keeps its
+// own Topology.HugePages, which traces do not carry. Replaying under the
+// recording run's policy, seed, and machine configuration reproduces its
+// scalar results exactly; changing the policy replays the identical
+// access stream under the new mechanism.
 func Replay(path string, cfg MachineConfig, opts ...ReplayOptions) (*RunResult, error) {
 	if len(opts) > 1 {
 		return nil, fmt.Errorf("tppsim: Replay takes at most one ReplayOptions, got %d", len(opts))
@@ -351,14 +346,10 @@ func Replay(path string, cfg MachineConfig, opts ...ReplayOptions) (*RunResult, 
 			cfg.Minutes = int((ticks + workload.TicksPerMinute - 1) / workload.TicksPerMinute)
 		}
 	}
-	if len(cfg.Topology.Nodes) == 0 && cfg.Ratio == [2]uint64{} &&
-		cfg.LocalPages == 0 && cfg.CXLPages == 0 && cfg.CXLLatencyNs == 0 {
-		// No sizing or legacy latency override of any kind: rebuild the
-		// recorded machine. A CXLLatencyNs override keeps the legacy
-		// 2-node machine it applies to.
-		if ts := tr.Header.Topology; ts != nil {
-			cfg.Topology = *ts
-		}
+	if ts := tr.Header.Topology; ts != nil && len(cfg.Topology.Nodes) == 0 {
+		huge := cfg.Topology.HugePages
+		cfg.Topology = *ts
+		cfg.Topology.HugePages = huge
 	}
 	cfg.Workload = tr.Replayer(o)
 	m, err := sim.New(cfg)

@@ -15,7 +15,7 @@ func TestQuickstartFacade(t *testing.T) {
 		Seed:     7,
 		Policy:   TPP(),
 		Workload: wl,
-		Ratio:    [2]uint64{2, 1},
+		Topology: TopologyCXL(2, 1),
 		Minutes:  10,
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestRecordReplayFacade(t *testing.T) {
 		Seed:     7,
 		Policy:   TPP(),
 		Workload: Workloads["Cache1"](4 * 1024),
-		Ratio:    [2]uint64{2, 1},
+		Topology: TopologyCXL(2, 1),
 		Minutes:  5,
 	}
 	base, err := Record(cfg, path)
@@ -170,6 +170,48 @@ func TestReplayOptionsFacade(t *testing.T) {
 	}
 }
 
+// TestReplayHugePagesKeepsRecordedNodes pins the huge-page replay: a
+// trace header carries the recorded nodes but not the page size, so
+// Replay with Topology{HugePages: true} adopts the recorded nodes, keeps
+// the 2 MB frames, and reproduces the recorded run's scalars and every
+// node's vmstat.
+func TestReplayHugePagesKeepsRecordedNodes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.trace")
+	huge := Topology{HugePages: true}
+	base, err := Record(MachineConfig{
+		Seed:     3,
+		Policy:   TPP(),
+		Workload: Workloads["Cache1"](64 << 10),
+		Topology: huge,
+		Minutes:  3,
+	}, path)
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	if base.Failed || base.MemStats.FramePages != 512 {
+		t.Fatalf("recorded run: failed=%v (%s), %d pages per frame", base.Failed, base.FailReason, base.MemStats.FramePages)
+	}
+	rep, err := Replay(path, MachineConfig{Seed: 3, Policy: TPP(), Topology: huge})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if rep.MemStats.FramePages != 512 {
+		t.Fatalf("replay ran in %d-page frames, want 512", rep.MemStats.FramePages)
+	}
+	if rep.String() != base.String() || rep.AvgLatencyNs != base.AvgLatencyNs {
+		t.Fatalf("replay scalars %s, recorded %s", rep, base)
+	}
+	if len(rep.Nodes) != len(base.Nodes) {
+		t.Fatalf("replay has %d nodes, recorded %d", len(rep.Nodes), len(base.Nodes))
+	}
+	for i := range base.Nodes {
+		if rep.Nodes[i].CapacityPages != base.Nodes[i].CapacityPages || rep.Nodes[i].Counters != base.Nodes[i].Counters {
+			t.Errorf("node %d: replay diverges from the recording:\n got:\n%s want:\n%s",
+				i, rep.Nodes[i].Counters.String(), base.Nodes[i].Counters.String())
+		}
+	}
+}
+
 // TestReplayRejectsNaNTopology: trace headers carry the machine's
 // floats as raw bits, so a corrupt or hand-written header can hold a
 // NaN scale factor. Adopting that topology must fail the replay with an
@@ -231,7 +273,7 @@ func TestShapeTable1(t *testing.T) {
 	o := experiments.Options{Pages: 8 * 1024, Minutes: 25}
 	runOne := func(p Policy, wl string, ratio [2]uint64) *RunResult {
 		m, err := NewMachine(MachineConfig{
-			Seed: 1, Policy: p, Workload: Workloads[wl](o.Pages), Ratio: ratio, Minutes: o.Minutes,
+			Seed: 1, Policy: p, Workload: Workloads[wl](o.Pages), Topology: TopologyCXL(ratio[0], ratio[1]), Minutes: o.Minutes,
 		})
 		if err != nil {
 			t.Fatal(err)
