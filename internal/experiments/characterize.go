@@ -34,6 +34,7 @@ var fig7Workloads = []string{"Web1", "Web2", "Cache1", "Cache2", "Warehouse", "A
 // application's allocated memory was accessed within the last 1/2/5/10
 // minutes, and how much is colder.
 func Fig7(o Options) Result {
+	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 7 — Application memory usage over last N minutes (% of allocated)",
 		Columns: []string{"workload", "1 min hot", "2 min hot", "5 min hot", "10 min hot", "cold"},
@@ -56,6 +57,7 @@ func Fig7(o Options) Result {
 
 // Fig8 regenerates the anon-vs-file temperature split.
 func Fig8(o Options) Result {
+	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 8 — Temperature by page type (% of that type's allocation)",
 		Columns: []string{"workload", "type", "1 min hot", "2 min hot", "10 min hot", "cold"},
@@ -101,6 +103,7 @@ var fig9Workloads = []string{"Web1", "Cache1", "Cache2", "Warehouse"}
 // Fig9 regenerates the memory-usage-over-time series: total/anon/file
 // utilization per workload.
 func Fig9(o Options) Result {
+	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 9 — Memory usage over time (steady-state utilization)",
 		Columns: []string{"workload", "total util", "anon util", "file util"},
@@ -120,6 +123,7 @@ func Fig9(o Options) Result {
 
 // Fig10 regenerates the throughput-vs-utilization sensitivity scatter.
 func Fig10(o Options) Result {
+	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 10 — Throughput correlation with anon/file utilization",
 		Columns: []string{"workload", "corr(throughput, anon util)", "corr(throughput, file util)"},
@@ -164,6 +168,7 @@ func correlate(a, b []float64) float64 {
 
 // Fig11 regenerates the re-access interval distribution.
 func Fig11(o Options) Result {
+	o = o.withDefaults()
 	t := &report.Table{
 		Title:   "Fig. 11 — Fraction of hot transitions by prior-cold interval",
 		Columns: []string{"workload", "fresh alloc", "<=1 min", "<=2 min", "<=5 min", "<=10 min", "beyond"},

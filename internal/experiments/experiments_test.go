@@ -48,6 +48,25 @@ func TestStaticExperiments(t *testing.T) {
 	}
 }
 
+// TestCharacterizationDefaults runs the five characterization figures
+// from Options that leave Pages and Seed unset, as `experiments -run`
+// without -pages does: each must take the defaults and fill its table.
+func TestCharacterizationDefaults(t *testing.T) {
+	for _, id := range []string{"Fig7", "Fig8", "Fig9", "Fig10", "Fig11"} {
+		spec, ok := Find(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		res := spec.Run(Options{Minutes: 2})
+		if res.ID != id {
+			t.Errorf("%s: result ID %q", id, res.ID)
+		}
+		if len(res.Table.Rows) == 0 {
+			t.Errorf("%s: empty table", id)
+		}
+	}
+}
+
 func TestFig3TrendIncreasing(t *testing.T) {
 	res := Fig3(Options{})
 	first := res.Table.Rows[0]

@@ -96,6 +96,51 @@ func TestStoreAllocFree(t *testing.T) {
 	}
 }
 
+// TestStoreLiveAligned checks the store's per-node counts against a
+// count over its pages, through allocations, recycled PFNs, moves and
+// frees, at every alignment from 1 to past the PFN width.
+func TestStoreLiveAligned(t *testing.T) {
+	s := NewStore(0)
+	seed := uint64(5)
+	next := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed>>33) % n
+	}
+	check := func(step int) {
+		for node := NodeID(0); node < 5; node++ {
+			for shift := uint(0); shift <= 34; shift++ {
+				var want uint64
+				for pfn := 0; pfn < s.Len(); pfn++ {
+					if s.Page(PFN(pfn)).Node == node && (shift >= 32 && pfn == 0 || shift < 32 && pfn%(1<<shift) == 0) {
+						want++
+					}
+				}
+				if got := s.LiveAligned(node, shift); got != want {
+					t.Fatalf("step %d: LiveAligned(%d, %d) = %d, want %d", step, node, shift, got, want)
+				}
+			}
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		switch op := next(10); {
+		case op < 5 || s.Live() == 0:
+			s.Alloc(Anon, NodeID(next(4)))
+		case op < 8:
+			if pfn := PFN(next(s.Len())); s.Page(pfn).Node != NilNode {
+				s.Move(pfn, NodeID(next(4)))
+			}
+		default:
+			if pfn := PFN(next(s.Len())); s.Page(pfn).Node != NilNode {
+				s.Free(pfn)
+			}
+		}
+		if step%100 == 0 {
+			check(step)
+		}
+	}
+	check(3000)
+}
+
 func TestStoreFreePanicsOnLRUPage(t *testing.T) {
 	s := NewStore(1)
 	p := s.Alloc(Anon, 0)

@@ -20,6 +20,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"unsafe"
 )
 
@@ -150,12 +151,21 @@ type Page struct {
 //
 // The store is the only writer of Page.Node: Alloc places a new page,
 // Move places an existing one, Free takes it off every node. Each Move
-// is reported to the move observer, if one is installed.
+// is reported to the move observer, if one is installed. Because every
+// placement passes through it, the store also counts each node's live
+// pages by the trailing zeros of their PFNs (LiveAligned).
 type Store struct {
 	pages []Page
 	free  []PFN
 	moved func(pfn PFN, node NodeID)
+	// live[n][k] counts the live pages on node n whose PFN has exactly
+	// k trailing zeros (PFN 0 in class 32).
+	live [][pfnClasses]uint64
 }
+
+// pfnClasses is the number of trailing-zero classes of a 32-bit PFN:
+// 0 through 31, and 32 for PFN 0.
+const pfnClasses = 33
 
 // NewStore returns an empty store with capacity hint n pages.
 func NewStore(n int) *Store {
@@ -178,12 +188,39 @@ func (s *Store) Alloc(t PageType, node NodeID) PFN {
 		pfn = PFN(len(s.pages))
 		s.pages = append(s.pages, Page{Type: t, Node: node, Prev: NilPFN, Next: NilPFN})
 	}
+	s.count(node, pfn, 1)
 	return pfn
+}
+
+// count adds d (1, or ^0 to subtract one) to node's live pages in pfn's
+// trailing-zero class.
+func (s *Store) count(node NodeID, pfn PFN, d uint64) {
+	if int(node) >= len(s.live) {
+		s.live = append(s.live, make([][pfnClasses]uint64, int(node)+1-len(s.live))...)
+	}
+	s.live[node][bits.TrailingZeros32(uint32(pfn))] += d
+}
+
+// LiveAligned returns the number of live pages on node whose PFN is a
+// multiple of 1<<shift: at shift 0, all of the node's live pages. A
+// scan that checks every granule of 1<<shift PFNs and charges each to
+// the node holding its first PFN makes this many checks on node.
+func (s *Store) LiveAligned(node NodeID, shift uint) uint64 {
+	if int(node) >= len(s.live) {
+		return 0
+	}
+	var n uint64
+	for _, c := range s.live[node][min(shift, pfnClasses-1):] {
+		n += c
+	}
+	return n
 }
 
 // Move places the live page pfn on node. Migration calls it once the
 // page's residency has moved; the page keeps its PFN.
 func (s *Store) Move(pfn PFN, node NodeID) {
+	s.count(s.pages[pfn].Node, pfn, ^uint64(0))
+	s.count(node, pfn, 1)
 	s.pages[pfn].Node = node
 	if s.moved != nil {
 		s.moved(pfn, node)
@@ -196,6 +233,7 @@ func (s *Store) Free(pfn PFN) {
 	if s.pages[pfn].Flags.Has(PGOnLRU) {
 		panic("mem: freeing page still on LRU")
 	}
+	s.count(s.pages[pfn].Node, pfn, ^uint64(0))
 	s.pages[pfn].Node = NilNode
 	s.free = append(s.free, pfn)
 }

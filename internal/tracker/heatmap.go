@@ -53,15 +53,70 @@ func (b *AccessBits) Test(pfn mem.PFN) bool {
 
 // TestClear reads and clears pfn's granule, returning its state.
 func (b *AccessBits) TestClear(pfn mem.PFN) bool {
-	return b.TestClearGranule(int(uint32(pfn) >> b.shift))
+	i := uint32(pfn) >> b.shift
+	mask := uint64(1) << (i & 63)
+	set := b.words[i>>6]&mask != 0
+	b.words[i>>6] &^= mask
+	return set
 }
 
-// TestClearGranule reads and clears granule gi, returning its state.
-func (b *AccessBits) TestClearGranule(gi int) bool {
-	mask := uint64(1) << (uint(gi) & 63)
-	set := b.words[gi>>6]&mask != 0
-	b.words[gi>>6] &^= mask
-	return set
+// harvest clears the bits of the granules below total PFNs and folds
+// each set granule's page count into hm, in PFN order: gain*pages per
+// granule, the last granule short when total ends inside it. The adds
+// land in the same order as one granule at a time, so every range's
+// heat is the same to the bit; only the host work differs. The bitmap
+// is read a word at a time and empty words are skipped. A word's bits
+// split into chunks of the granules that share a heat range (the whole
+// word when a range spans 64 granules or more), and each chunk's adds
+// run on the range's heat in a register, one per set bit.
+func (b *AccessBits) harvest(total int, hm *Heatmap) {
+	granules := (total + b.granule - 1) >> b.shift
+	if granules == 0 {
+		return
+	}
+	words := b.words[:(granules+63)>>6]
+	last := len(words) - 1
+	lastMask := ^uint64(0) >> (63 - uint(granules-1)&63)
+	short := total & (b.granule - 1) // pages of a short last granule
+	shortBit := uint64(0)
+	if short != 0 {
+		shortBit = 1 << (uint(granules-1) & 63)
+	}
+	// Chunk width in bits: granules per range, between one and a word.
+	width := uint(min(max(int(hm.rangeShift)-int(b.shift), 0), 6))
+	chunkMask := ^uint64(0) >> (64 - 1<<width)
+	gain, g, heat := hm.gain, float64(b.granule), hm.heat
+	var shortSet bool
+	for wi, w := range words {
+		if wi == last {
+			w &= lastMask
+		}
+		if w == 0 {
+			continue
+		}
+		words[wi] &^= w
+		if wi == last {
+			// The short granule's add is the span's last; it comes
+			// after the loop.
+			shortSet = w&shortBit != 0
+			w &^= shortBit
+		}
+		for gi := wi << 6; w != 0; gi, w = gi+1<<width, w>>(1<<width) {
+			c := w & chunkMask
+			if c == 0 {
+				continue
+			}
+			r := gi << b.shift >> hm.rangeShift
+			h := heat[r]
+			for ; c != 0; c &= c - 1 {
+				h += gain * g
+			}
+			heat[r] = h
+		}
+	}
+	if shortSet {
+		heat[(granules-1)<<b.shift>>hm.rangeShift] += gain * float64(short)
+	}
 }
 
 // Heatmap aggregates tracker observations into per-PFN-range heat. Heat

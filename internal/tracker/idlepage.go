@@ -11,7 +11,12 @@ import (
 // soft-dirty (softdirty — write bits only). The scan walks every
 // granule: its cost is proportional to machine memory, which is the
 // mechanism's defining overhead, and every check is charged to
-// tracker_pages_scanned on the granule's resident node.
+// tracker_pages_scanned on the node holding the granule's first PFN.
+//
+// The simulator pays that cost in simulated counters, not in host time:
+// the walk reads the bitmap a 64-bit word at a time and skips empty
+// words, and the charge comes from the page store's per-node counts
+// (mem.Store.LiveAligned), so the scan reads no page.
 type bitTracker struct {
 	name      string
 	cfg       Config
@@ -21,9 +26,6 @@ type bitTracker struct {
 	bits     *AccessBits
 	lastScan uint64
 	started  bool
-	// perNode accumulates one scan's checks per node, flushed to the
-	// stats plane once per scan so the walk stays a tight loop.
-	perNode []uint64
 }
 
 func newBitTracker(name string, cfg Config, dirtyOnly bool) *bitTracker {
@@ -41,7 +43,6 @@ func (t *bitTracker) Start(env Env) error {
 	if t.bits == nil {
 		t.bits = NewAccessBits(env.pfnSpace(), t.cfg.GranularityPages)
 	}
-	t.perNode = make([]uint64, env.Topo.NumNodes())
 	t.started = true
 	return nil
 }
@@ -63,7 +64,8 @@ func (t *bitTracker) OnAccess(pfn mem.PFN, pg *mem.Page) {
 // cleared, set granules fold their page count into the heatmap. The
 // walk covers the allocated PFN space (Store.Len is the high-water
 // mark; the bitmap is sized for full capacity but bits past the mark
-// can never be set), and checks of freed pages (Node == NilNode) do
+// can never be set). Each granule's check is charged to the node
+// holding its first PFN; checks of freed pages (Node == NilNode) do
 // work but have no resident node to charge.
 func (t *bitTracker) Tick(tick uint64, hm *Heatmap) bool {
 	if !t.started || tick-t.lastScan < t.cfg.ScanEveryTicks {
@@ -72,28 +74,10 @@ func (t *bitTracker) Tick(tick uint64, hm *Heatmap) bool {
 	t.lastScan = tick
 	hm.BeginWindow(float64(t.cfg.ScanEveryTicks))
 
-	store, bits := t.env.Store, t.bits
-	gran := bits.Granule()
-	total := store.Len()
-	for i := range t.perNode {
-		t.perNode[i] = 0
-	}
-	for gi := 0; gi*gran < total; gi++ {
-		first := gi * gran
-		if node := store.Page(mem.PFN(first)).Node; node != mem.NilNode {
-			t.perNode[node]++
-		}
-		if !bits.TestClearGranule(gi) {
-			continue
-		}
-		pages := gran
-		if first+pages > total {
-			pages = total - first
-		}
-		hm.Add(hm.RangeOf(mem.PFN(first)), float64(pages))
-	}
-	for n, c := range t.perNode {
-		if c != 0 {
+	store := t.env.Store
+	t.bits.harvest(store.Len(), hm)
+	for n := 0; n < t.env.Topo.NumNodes(); n++ {
+		if c := store.LiveAligned(mem.NodeID(n), t.bits.shift); c != 0 {
 			t.env.Stat.Add(mem.NodeID(n), vmstat.TrackerPagesScanned, c)
 		}
 	}

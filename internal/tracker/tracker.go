@@ -31,6 +31,12 @@
 // page identity (migration changes a page's node, never its PFN), and
 // the PFN space is bounded by machine capacity, so bitmaps and region
 // lists are fixed-size — the plane allocates nothing per tick.
+//
+// A tracker's overhead is simulated, not paid in host time: the bit
+// trackers charge one check per granule to tracker_pages_scanned, but
+// their scan reads the bitmap a word at a time and takes the per-node
+// charge from the page store's counts (mem.Store.LiveAligned): one
+// load per 64 granules and one add per set granule.
 package tracker
 
 import (

@@ -89,8 +89,8 @@ func TestAccessBits(t *testing.T) {
 	if !b.Test(0) || !b.Test(3) || b.Test(4) {
 		t.Fatal("granule sharing wrong")
 	}
-	if !b.TestClearGranule(0) || b.Test(0) {
-		t.Fatal("TestClearGranule wrong")
+	if !testClearGranule(b, 0) || b.Test(0) {
+		t.Fatal("testClearGranule wrong")
 	}
 
 	// Rounding: 201 pages at granule 4 needs 51 granules.

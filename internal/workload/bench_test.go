@@ -22,15 +22,21 @@ func (c *drawCtx) TouchRange(pagetable.VPN, uint64)                   {}
 func (c *drawCtx) RNG() *xrand.RNG                                    { return c.rng }
 
 // BenchmarkNextAccessBatch measures the workload draw alone: one tick's
-// batch from Cache1 past its warm-up, at steady-small's 8K pages and
-// 2000 accesses per tick and at churn-large's 512K pages and 8192.
+// batch past the warm-up, for Cache1 at steady-small's 8K pages and
+// 2000 accesses per tick and at churn-large's 512K pages and 8192, and
+// for Warehouse at tiered-pressure's 64K pages and 4096.
 func BenchmarkNextAccessBatch(b *testing.B) {
 	for _, tc := range []struct {
 		name         string
+		wl           func(uint64) *Profile
 		pages, batch int
-	}{{"8K", 8 << 10, 2000}, {"512K", 512 << 10, 8192}} {
+	}{
+		{"Cache1/8K", Cache1, 8 << 10, 2000},
+		{"Cache1/512K", Cache1, 512 << 10, 8192},
+		{"Warehouse/64K", Warehouse, 64 << 10, 4096},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
-			w := Cache1(uint64(tc.pages))
+			w := tc.wl(uint64(tc.pages))
 			ctx := &drawCtx{as: pagetable.New(1), rng: xrand.New(1)}
 			w.Start(ctx)
 			tick := uint64(0)
@@ -38,7 +44,7 @@ func BenchmarkNextAccessBatch(b *testing.B) {
 				w.Tick(ctx, tick)
 			}
 			buf := make([]pagetable.VPN, tc.batch)
-			// The first steady-state draw builds the picker's CDF.
+			// The first steady-state draw builds the picker's thresholds.
 			w.NextAccessBatch(ctx, tick, buf)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"sort"
 	"testing"
 
 	"tppsim/internal/pagetable"
@@ -8,8 +10,65 @@ import (
 )
 
 // The scalar draw below is the reference that Profile.NextAccessBatch
-// fuses: one access per call, each step a plain xrand call (the
-// picker's inverse-CDF draw, Uint64n, Bool, Intn) on the same streams.
+// fuses: one access per call, each step a plain xrand call (Uint64n,
+// Bool, Intn) on the same streams. It keeps the float definition of
+// every pick and coin: the region picker and Zipf ranks search float
+// CDFs built here, from the picker's weights and from the Zipf's
+// (n, s), for u = x/2^53 (sort.SearchFloat64s, the smallest i with
+// cdf[i] >= u), and the coins test u < p. Production draws the same
+// indices by integer compares against thresholds.
+
+// floatCDFs caches the reference CDFs by sampler; the samplers never
+// change their weights after Start.
+var floatCDFs = map[any][]float64{}
+
+// weightedCDF is the float CDF of a Weighted sampler: running sums of
+// its positive weights, scaled by the reciprocal of the total, the last
+// entry pinned to 1.
+func weightedCDF(w *xrand.Weighted) []float64 {
+	if cdf, ok := floatCDFs[w]; ok {
+		return cdf
+	}
+	cdf := make([]float64, w.Len())
+	sum := 0.0
+	for i := range cdf {
+		if v := w.Weight(i); v > 0 {
+			sum += v
+		}
+		cdf[i] = sum
+	}
+	normalizeCDF(cdf, sum)
+	floatCDFs[w] = cdf
+	return cdf
+}
+
+// zipfCDF is the float CDF of a Zipf sampler over [0, n) with exponent
+// s: running sums of 1/(i+1)^s, normalized the same way.
+func zipfCDF(z *xrand.Zipf, s float64) []float64 {
+	if cdf, ok := floatCDFs[z]; ok {
+		return cdf
+	}
+	cdf := make([]float64, z.N())
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), s)
+		cdf[i] = sum
+	}
+	normalizeCDF(cdf, sum)
+	floatCDFs[z] = cdf
+	return cdf
+}
+
+func normalizeCDF(cdf []float64, sum float64) {
+	inv := 1 / sum
+	for i := range cdf {
+		cdf[i] *= inv
+	}
+	cdf[len(cdf)-1] = 1
+}
+
+// uniform is a stream's next draw as the float u = x/2^53 in [0, 1).
+func uniform(rng *xrand.RNG) float64 { return float64(rng.Uint64()>>11) / (1 << 53) }
 
 // NextAccess draws one access from the current distribution; ok is
 // false when four region picks found nothing accessible.
@@ -19,20 +78,18 @@ func (p *Profile) NextAccess(ctx Ctx, tick uint64) (pagetable.VPN, bool) {
 	if warm {
 		picker = p.warmupPicker
 	}
-	return p.draw(picker.RNG(), picker.CDF(), warm)
+	return p.draw(picker.RNG(), weightedCDF(picker), warm)
 }
 
 // draw produces one access from the current distribution. prng/cdf are
-// the region picker's private stream and CDF; the inline inverse-CDF
-// draw is identical to Weighted.Next. Offsets draw from the workload's
-// own stream, as before.
+// the region picker's private stream and float CDF. Offsets draw from
+// the workload's own stream.
 func (p *Profile) draw(prng *xrand.RNG, cdf []float64, warm bool) (pagetable.VPN, bool) {
 	rng := p.rng
 	// A few rejection rounds in case the chosen region has nothing
 	// accessible yet (pre-growth).
 	for attempt := 0; attempt < 4; attempt++ {
-		u := float64(prng.Uint64()>>11) / (1 << 53)
-		rs := &p.regions[xrand.SearchCDF(cdf, u)]
+		rs := &p.regions[sort.SearchFloat64s(cdf, uniform(prng))]
 		if rs.kind == drawChurn {
 			return rs.churnAccess(rng), true
 		}
@@ -65,12 +122,11 @@ func (rs *regionState) offset(rng *xrand.RNG) uint64 {
 	var idx uint64
 	switch rs.kind {
 	case drawHot:
-		// Inline rng.Bool(hotWeight) — including its no-draw guards for
-		// degenerate weights — so the hot path stays call-free.
+		// u < HotWeight, drawn only when the weight is in (0, 1).
 		hot := rs.hot
-		hotHit := rs.hotWeight >= 1
-		if w := rs.hotWeight; w > 0 && w < 1 {
-			hotHit = float64(rng.Uint64()>>11)/(1<<53) < w
+		hotHit := rs.spec.HotWeight >= 1
+		if w := rs.spec.HotWeight; w > 0 && w < 1 {
+			hotHit = uniform(rng) < w
 		}
 		if hotHit || hot >= rs.grown {
 			idx = rng.Uint64n(hot)
@@ -78,7 +134,7 @@ func (rs *regionState) offset(rng *xrand.RNG) uint64 {
 			idx = hot + rng.Uint64n(rs.grown-hot)
 		}
 	case drawZipf:
-		idx = uint64(rs.zipf.Next())
+		idx = uint64(sort.SearchFloat64s(zipfCDF(rs.zipf, rs.spec.ZipfS), uniform(rs.zipf.RNG())))
 		if idx >= rs.grown {
 			idx %= rs.grown
 		}
@@ -91,15 +147,16 @@ func (rs *regionState) offset(rng *xrand.RNG) uint64 {
 // churnAccess picks a segment with recency bias, then a page uniformly.
 func (rs *regionState) churnAccess(rng *xrand.RNG) pagetable.VPN {
 	n := len(rs.segments)
+	bias := rs.spec.RecencyBias
 	var idx int
-	if rs.bias <= 0 {
+	if bias <= 0 {
 		idx = rng.Intn(n)
 	} else {
 		// Geometric walk from the newest end: each step stops with
 		// probability RecencyBias, so higher bias concentrates accesses
 		// on recently allocated segments.
 		idx = n - 1
-		for idx > 0 && !rng.Bool(rs.bias) {
+		for idx > 0 && !rng.Bool(bias) {
 			idx--
 		}
 	}
@@ -108,9 +165,10 @@ func (rs *regionState) churnAccess(rng *xrand.RNG) pagetable.VPN {
 }
 
 // TestNextAccessBatchMatchesNextAccess checks the fused draw loop against
-// the scalar draw above: its inline region pick, hot/cold split and
-// rank draws, u64nRaw's rejection sampling on raw state words and the
-// churn segment walk must reproduce the plain xrand calls draw for draw.
+// the scalar draw above: its threshold region pick, hot/cold split and
+// Zipf rank draws, u64nRaw's rejection sampling on raw state words and
+// the churn segment walk must reproduce the float definition's plain
+// xrand calls draw for draw.
 // Both sides share scatter, which TestScatterMatchesModulo pins to its
 // modulo definition. Two copies of every catalog Profile, at two sizes,
 // step through the same ticks (warm-up, growth, churn); at each drawing

@@ -189,12 +189,16 @@ type regionState struct {
 	// Hot fields first: the per-access draw touches only these (plus
 	// segments/segPages for churn regions), so they share the leading
 	// cache lines instead of sitting behind the large spec.
-	kind      uint8            // drawUniform/drawHot/drawZipf/drawChurn
-	hotWeight float64          // spec.HotWeight copy for drawHot
-	bias      float64          // spec.RecencyBias copy for drawChurn
-	grown     uint64           // accessible prefix (pages)
-	hot       uint64           // cached hot-set size for the current grown
-	region    pagetable.Region // static regions
+	kind uint8 // drawUniform/drawHot/drawZipf/drawChurn
+	// hotThr and biasThr are the drawHot and drawChurn coins as
+	// xrand.CoinThreshold integers: a 53-bit draw x lands in the hot set
+	// when x < hotThr, and the churn walk stops when x < biasThr. 0 and
+	// 2^53 are the coins that need no draw.
+	hotThr  uint64
+	biasThr uint64
+	grown   uint64           // accessible prefix (pages)
+	hot     uint64           // cached hot-set size for the current grown
+	region  pagetable.Region // static regions
 	// scatterInv is the Barrett reciprocal floor((2^64-1)/Pages) that
 	// lets scatter compute a static region's rank→page permutation in
 	// registers.
@@ -308,7 +312,15 @@ func (p *Profile) Start(ctx Ctx) {
 	steady := make([]float64, len(p.Specs))
 	warm := make([]float64, len(p.Specs))
 	for i, spec := range p.Specs {
-		rs := regionState{spec: spec, hotWeight: spec.HotWeight, bias: spec.RecencyBias}
+		rs := regionState{spec: spec, hotThr: xrand.CoinThreshold(spec.HotWeight), biasThr: 1 << 53}
+		// The walk draws uniformly at RecencyBias <= 0, stops each step
+		// with probability RecencyBias below 1, and otherwise (1 and up,
+		// or NaN) takes the newest segment.
+		if spec.RecencyBias <= 0 {
+			rs.biasThr = 0
+		} else if spec.RecencyBias < 1 {
+			rs.biasThr = xrand.CoinThreshold(spec.RecencyBias)
+		}
 		switch {
 		case spec.ChurnSegments > 0:
 			rs.kind = drawChurn
@@ -440,8 +452,10 @@ func u64nRaw(n, s0, s1, s2, s3 uint64) (out, t0, t1, t2, t3 uint64) {
 // NextAccessBatch implements Workload. Each access picks a region on the
 // picker's stream, then a page in it on the workload's stream; a pick of
 // a region with nothing accessible yet (pre-growth) is retried, and after
-// four misses the batch ends. The picker's CDF is resolved once and both
-// streams' state words stay in locals, so draws touch no generator memory.
+// four misses the batch ends. The picker's thresholds are resolved once
+// and both streams' state words stay in locals, so draws touch no
+// generator memory; every pick and coin is an integer compare against a
+// 53-bit draw (see xrand.Search).
 func (p *Profile) NextAccessBatch(ctx Ctx, tick uint64, buf []pagetable.VPN) int {
 	warm := tick < p.Warmup
 	picker := p.picker
@@ -449,7 +463,7 @@ func (p *Profile) NextAccessBatch(ctx Ctx, tick uint64, buf []pagetable.VPN) int
 		picker = p.warmupPicker
 	}
 	prng, wrng := picker.RNG(), p.rng
-	cdf := picker.CDF()
+	thr := picker.Thresholds()
 	p0, p1, p2, p3 := prng.State()
 	w0, w1, w2, w3 := wrng.State()
 	n := 0
@@ -461,23 +475,23 @@ fill:
 			}
 			var pu uint64
 			pu, p0, p1, p2, p3 = xrand.Step(p0, p1, p2, p3)
-			rs := &p.regions[xrand.SearchCDF(cdf, float64(pu>>11)/(1<<53))]
+			rs := &p.regions[xrand.Search(thr, pu>>11)]
 			if rs.kind == drawChurn {
 				// A segment by a walk from the newest that stops at each
 				// step with probability RecencyBias, then a page uniformly.
 				segn := len(rs.segments)
 				var idx int
-				if rs.bias <= 0 {
+				if rs.biasThr == 0 {
 					var r uint64
 					r, w0, w1, w2, w3 = u64nRaw(uint64(segn), w0, w1, w2, w3)
 					idx = int(r)
 				} else {
 					idx = segn - 1
-					if rs.bias < 1 {
+					if rs.biasThr < 1<<53 {
 						for idx > 0 {
 							var v uint64
 							v, w0, w1, w2, w3 = xrand.Step(w0, w1, w2, w3)
-							if float64(v>>11)/(1<<53) < rs.bias {
+							if v>>11 < rs.biasThr {
 								break
 							}
 							idx--
@@ -508,11 +522,11 @@ fill:
 				switch rs.kind {
 				case drawHot:
 					hot := rs.hot
-					hotHit := rs.hotWeight >= 1
-					if w := rs.hotWeight; w > 0 && w < 1 {
+					hotHit := rs.hotThr == 1<<53
+					if t := rs.hotThr; t > 0 && t < 1<<53 {
 						var v uint64
 						v, w0, w1, w2, w3 = xrand.Step(w0, w1, w2, w3)
-						hotHit = float64(v>>11)/(1<<53) < w
+						hotHit = v>>11 < t
 					}
 					if hotHit || hot >= rs.grown {
 						idx, w0, w1, w2, w3 = u64nRaw(hot, w0, w1, w2, w3)

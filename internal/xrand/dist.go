@@ -2,55 +2,93 @@ package xrand
 
 import "math"
 
-// searchCDF returns the smallest i with cdf[i] >= u — exactly
-// sort.SearchFloat64s, hand-rolled so the sampler hot path avoids the
-// closure call per probe. cdf[len-1] is pinned to 1, so u in [0,1) always
-// resolves in range.
-func searchCDF(cdf []float64, u float64) int {
-	return searchCDFRange(cdf, u, 0, len(cdf))
+// Threshold draws. Every sampler below turns the 53-bit integer
+// x = Uint64()>>11 into the uniform u = x/2^53, so it compares integers
+// instead: for a CDF entry c, c < u holds exactly when
+// uint64(c*2^53) < x (scaling by 2^53 is exact, and for an integer x,
+// c*2^53 < x exactly when floor(c*2^53) < x). Zipf and Weighted keep
+// those thresholds in place of their float CDFs and draw the same
+// indices, bit for bit, with no float in the search.
+
+// unit is 2^53, the threshold of a CDF entry of 1: above every draw.
+const unit = 1 << 53
+
+// CoinThreshold returns the integer t with x < t exactly when
+// x/2^53 < p, for every 53-bit draw x: ceil(p*2^53), which is 0 for
+// p <= 0 (and NaN) and 2^53 for p >= 1. A coin that would test
+// u < p as RNG.Bool does tests x < t instead.
+func CoinThreshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return unit
+	case p > 0:
+		return uint64(math.Ceil(p * unit))
+	}
+	return 0
 }
 
-// searchCDFRange is searchCDF restricted to [lo, hi) (the answer must lie
-// in that range). Wide ranges binary-search; the final few entries use a
-// branch-predictable linear count (the prefix of entries < u), which the
-// compiler lowers to conditional moves — binary-search probes on random u
-// are guaranteed mispredicts.
-func searchCDFRange(cdf []float64, u float64, lo, hi int) int {
+// normalize turns running sums, stored as float64 bits in thr, into
+// thresholds of the CDF sums/total, and pins the last entry to 2^53 (a
+// CDF ending at exactly 1) against rounding.
+func normalize(thr []uint64, total float64) {
+	inv := 1 / total
+	for i, b := range thr {
+		thr[i] = uint64(math.Float64frombits(b) * inv * unit)
+	}
+	thr[len(thr)-1] = unit
+}
+
+// Search returns the smallest i with thr[i] >= x: the inverse-CDF lookup
+// Weighted.Next and Zipf.Next perform for the draw x = Uint64()>>11,
+// exported for inlined batch draws. The last threshold is 2^53, so
+// every draw resolves in range.
+func Search(thr []uint64, x uint64) int {
+	return searchRange(thr, x, 0, len(thr))
+}
+
+// searchRange is Search restricted to [lo, hi) (the answer must lie in
+// that range, or be hi). Wide ranges binary-search; the final few
+// entries use a branch-free count of the entries below x, since
+// binary-search probes on random x are guaranteed mispredicts.
+func searchRange(thr []uint64, x uint64, lo, hi int) int {
 	for hi-lo > 8 {
 		mid := int(uint(lo+hi) >> 1)
-		if cdf[mid] < u {
+		if thr[mid] < x {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	for _, c := range cdf[lo:hi] {
-		// Branchless count of entries < u: for finite IEEE values c-u is
-		// negative exactly when c < u (a nonzero difference never rounds
-		// to zero), so the sign bit is the predicate. A compare-branch
-		// here mispredicts ~50% against random u and dominates the draw.
-		lo += int(math.Float64bits(c-u) >> 63)
+	n := lo
+	for i := lo; i < hi; i++ {
+		// Both thr[i] and x are far below 2^63, so thr[i]-x wraps to a
+		// value with the top bit set exactly when thr[i] < x.
+		n += int((thr[i] - x) >> 63)
 	}
-	return lo
+	return n
 }
 
 // Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s. It precomputes the CDF so sampling is O(log n); this trades
-// memory for speed and determinism, which suits the simulator's fixed-size
-// hot sets. Large supports additionally carry a guide table that maps a
-// uniform draw to a narrow CDF range, so the common case resolves with a
-// couple of probes instead of a full-width binary search. The guide is a
-// pure accelerator: samples are identical with or without it.
+// 1/(i+1)^s. It precomputes the CDF's thresholds so sampling is
+// O(log n); this trades memory for speed and determinism, which suits
+// the simulator's fixed-size hot sets. Large supports additionally carry
+// a guide table that maps a draw to a narrow threshold range, so the
+// common case resolves with a couple of probes instead of a full-width
+// binary search. The guide is a pure accelerator: samples are identical
+// with or without it.
 type Zipf struct {
-	cdf   []float64
+	thr   []uint64
 	guide []int32 // len zipfGuideSize+1; nil for small supports
 	rng   *RNG
 }
 
-// zipfGuideSize buckets the unit interval for the guide table. A power of
-// two, so u*zipfGuideSize is exact and floor(u*G) identifies u's bucket
-// without rounding hazards.
-const zipfGuideSize = 1024
+// zipfGuideSize buckets the draws for the guide table. A power of two,
+// so a draw's bucket floor(u*zipfGuideSize) is the top bits of its
+// 53-bit integer x, x>>zipfGuideShift.
+const (
+	zipfGuideSize  = 1024
+	zipfGuideShift = 53 - 10
+)
 
 // NewZipf returns a Zipf sampler over [0, n) with exponent s >= 0.
 // s == 0 degenerates to the uniform distribution.
@@ -58,48 +96,50 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("xrand: NewZipf called with n <= 0")
 	}
-	z := &Zipf{cdf: make([]float64, n), rng: rng}
+	z := &Zipf{thr: make([]uint64, n), rng: rng}
 	sum := 0.0
-	for i := 0; i < n; i++ {
+	for i := range z.thr {
 		sum += 1 / math.Pow(float64(i+1), s)
-		z.cdf[i] = sum
+		z.thr[i] = math.Float64bits(sum)
 	}
-	inv := 1 / sum
-	for i := range z.cdf {
-		z.cdf[i] *= inv
-	}
-	z.cdf[n-1] = 1 // guard against rounding
+	normalize(z.thr, sum)
 	if n > 128 {
+		// guide[k] is the answer for the bucket's lowest draw, k<<shift,
+		// so a draw in bucket k resolves in [guide[k], guide[k+1]].
 		z.guide = make([]int32, zipfGuideSize+1)
 		for k := 1; k <= zipfGuideSize; k++ {
-			z.guide[k] = int32(searchCDF(z.cdf, float64(k)/zipfGuideSize))
+			z.guide[k] = int32(Search(z.thr, uint64(k)<<zipfGuideShift))
 		}
 	}
 	return z
 }
 
 // N returns the support size.
-func (z *Zipf) N() int { return len(z.cdf) }
+func (z *Zipf) N() int { return len(z.thr) }
+
+// RNG returns the sampler's private random stream, the one Next draws
+// from.
+func (z *Zipf) RNG() *RNG { return z.rng }
 
 // Next returns the next sample in [0, N()).
-func (z *Zipf) Next() int {
-	// Inline uniform draw (== rng.Float64); keeps the sampler call-free.
-	u := float64(z.rng.Uint64()>>11) / (1 << 53)
+func (z *Zipf) Next() int { return z.index(z.rng.Uint64() >> 11) }
+
+// index is the sample for the 53-bit draw x: Search(z.thr, x), over
+// the range the guide gives x's bucket when there is a guide.
+func (z *Zipf) index(x uint64) int {
 	if z.guide == nil {
-		return searchCDF(z.cdf, u)
+		return Search(z.thr, x)
 	}
-	// u lies in guide bucket k, so the answer (smallest i with
-	// cdf[i] >= u) is bounded by the bucket's precomputed CDF range.
-	k := int(u * zipfGuideSize)
-	return searchCDFRange(z.cdf, u, int(z.guide[k]), int(z.guide[k+1]))
+	k := x >> zipfGuideShift
+	return searchRange(z.thr, x, int(z.guide[k]), int(z.guide[k+1]))
 }
 
 // Weighted samples an index in [0, len(weights)) with probability
 // proportional to weights[i]. Weights may be updated between draws via
-// SetWeight; the CDF is rebuilt lazily.
+// SetWeight; the thresholds are rebuilt lazily.
 type Weighted struct {
 	weights []float64
-	cdf     []float64
+	thr     []uint64
 	dirty   bool
 	rng     *RNG
 }
@@ -125,55 +165,43 @@ func (w *Weighted) Weight(i int) float64 { return w.weights[i] }
 func (w *Weighted) Len() int { return len(w.weights) }
 
 func (w *Weighted) rebuild() {
-	if cap(w.cdf) < len(w.weights) {
-		w.cdf = make([]float64, len(w.weights))
+	if cap(w.thr) < len(w.weights) {
+		w.thr = make([]uint64, len(w.weights))
 	}
-	w.cdf = w.cdf[:len(w.weights)]
+	w.thr = w.thr[:len(w.weights)]
 	sum := 0.0
 	for i, v := range w.weights {
 		if v > 0 {
 			sum += v
 		}
-		w.cdf[i] = sum
+		w.thr[i] = math.Float64bits(sum)
 	}
 	if sum <= 0 {
 		panic("xrand: Weighted with no positive weights")
 	}
-	inv := 1 / sum
-	for i := range w.cdf {
-		w.cdf[i] *= inv
-	}
-	w.cdf[len(w.cdf)-1] = 1
+	normalize(w.thr, sum)
 	w.dirty = false
 }
 
 // Next returns the next weighted sample.
 func (w *Weighted) Next() int {
-	if w.dirty {
-		w.rebuild()
-	}
-	u := float64(w.rng.Uint64()>>11) / (1 << 53)
-	return searchCDF(w.cdf, u)
+	return Search(w.Thresholds(), w.rng.Uint64()>>11)
 }
 
-// CDF returns the sampler's cumulative distribution (rebuilding it if
-// weights changed). The slice is owned by the sampler and valid until
-// the next SetWeight. Together with SearchCDF and RNG it lets batch
-// loops inline the draw that Next performs.
-func (w *Weighted) CDF() []float64 {
+// Thresholds returns the thresholds of the sampler's cumulative
+// distribution (rebuilding them if weights changed). The slice is owned
+// by the sampler and valid until the next SetWeight. Together with
+// Search and RNG it lets batch loops inline the draw that Next performs.
+func (w *Weighted) Thresholds() []uint64 {
 	if w.dirty {
 		w.rebuild()
 	}
-	return w.cdf
+	return w.thr
 }
 
 // RNG returns the sampler's private random stream — the one Next draws
 // from. Inlined batch draws must use it, not the caller's stream.
 func (w *Weighted) RNG() *RNG { return w.rng }
-
-// SearchCDF returns the smallest i with cdf[i] >= u — the inverse-CDF
-// lookup Next and Zipf.Next perform, exported for inlined batch draws.
-func SearchCDF(cdf []float64, u float64) int { return searchCDF(cdf, u) }
 
 // Pareto samples from a bounded Pareto distribution on [lo, hi] with shape
 // alpha. Used for object-size and lifetime draws in the workload

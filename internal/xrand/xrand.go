@@ -6,6 +6,12 @@
 // The generator is splitmix64 seeded xoshiro256**, which is fast, has a
 // 256-bit state, and passes BigCrush. We avoid math/rand so that the stream
 // is stable across Go releases.
+//
+// The inverse-CDF samplers (Zipf, Weighted) and inlined coins draw by
+// integer compares: a draw's 53 bits x stand for u = x/2^53, and a CDF
+// entry or probability becomes the integer threshold x is compared
+// against (Search, CoinThreshold). The thresholds are exact, so the
+// samples are those of the float definition, bit for bit.
 package xrand
 
 import (
